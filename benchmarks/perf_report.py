@@ -401,10 +401,11 @@ def bench_sharded_block_pcg(
     # Bytes each dispatch actually pickles onto the worker pipe, per
     # transport (the zero-copy plan ships handles; the fallback ships the
     # flat CSR arrays and the RHS slice with every spec).
-    k = blocked.permuted
-    f_mc = np.ascontiguousarray(
-        blocked.ordering.permute_vector(np.asarray(F, dtype=float))
-    )
+    # The session's own representation supplies the operator, the
+    # permuted block and the recipe its sharded solves dispatch.
+    rep = session._representation()
+    k = rep.operator
+    f_mc = rep.permute_in(np.asarray(F, dtype=float))
     groups = column_groups(SHARD_WIDTH, SHARD_WORKERS, SHARD_GROUP)
     recipe = session._shard_recipe(M_PCG, False)
     light, _ = build_shard_specs(k, f_mc, recipe, groups, eps=eps, use_shm=True)
@@ -416,7 +417,7 @@ def bench_sharded_block_pcg(
     out["workers"] = SHARD_WORKERS
     out["group"] = SHARD_GROUP
     out["requires_cores"] = SHARDED_MIN_CORES
-    session._shm_tokens.add(matrix_token(k))
+    session._shm_tokens.add(matrix_token(k))  # released by close()
     session.close()
     return out
 

@@ -24,13 +24,15 @@ The driver is ordering- and storage-agnostic: ``k`` may be any object with
 object with ``apply(r) → r̃``.  The machine simulators re-implement this
 same loop on their own kernels; tests pin their iterates to this reference.
 
-:func:`block_pcg` is the multi-right-hand-side form: ``k`` independent
-Algorithm-1 iterations advance in lockstep over an ``(n, k)`` block, the
-matrix product and the preconditioner application batched through the
-``(n, k)`` kernel paths while every per-column scalar (α, β, ρ, ‖Δu‖∞)
-is tracked vectorwise.  Columns retire individually as they converge;
-iterates, iteration counts and operation counters are *bitwise identical*
-to ``k`` separate :func:`pcg` calls.
+The loop exists once, in :func:`block_pcg`: ``k`` independent Algorithm-1
+iterations advance in lockstep over an ``(n, k)`` block, the matrix
+product and the preconditioner application batched through the ``(n, k)``
+kernel paths while every per-column scalar (α, β, ρ, ‖Δu‖∞) is tracked
+per column.  Columns retire individually as they converge; iterates,
+iteration counts and operation counters are *bitwise identical* to ``k``
+separate single-column solves.  :func:`pcg` is the k=1 column of that
+loop, whose single-active-column path copies nothing and snapshots the
+preconditioner's counter once per solve.
 """
 
 from __future__ import annotations
@@ -102,6 +104,12 @@ def pcg(
 ) -> PCGResult:
     """Solve SPD ``K u = f`` by Algorithm 1.
 
+    The k=1 column of :func:`block_pcg`: one loop serves both, so a
+    vector solve and any column of a block solve are the same arithmetic.
+    A zero, negative or non-finite ``pᵀKp`` stops the solve at that
+    iteration — converged only when ``ρ = 0`` (an exact start, such as
+    ``f = 0``); a NaN right-hand side stops unconverged on iteration 1.
+
     **Counter contract.**  ``result.counter`` charges, per completed
     iteration: one ``matvecs`` (the single ``K p`` product), one or two
     ``inner_products`` (``(p, Kp)`` always; ``(r̃, r)`` only when steps
@@ -114,7 +122,7 @@ def pcg(
     ``precond_applications``/``precond_steps`` plus any
     preconditioner-specific ``extra`` keys (``p_solves``,
     ``block_multiplies``, …).  :func:`block_pcg` reproduces these counts
-    column for column — the two are bitwise-reconcilable.
+    column for column.
 
     Parameters
     ----------
@@ -139,116 +147,22 @@ def pcg(
         Optional ``callback(iteration, u, delta_norm)`` hook.
     """
     f = np.asarray(f, dtype=float)
-    n = f.shape[0]
-    require(k.shape == (n, n), "operator/right-hand-side shape mismatch")
-    rule = stopping or DeltaInfNorm(eps=eps)
-    m = preconditioner if preconditioner is not None else IdentityPreconditioner()
-    maxiter = maxiter if maxiter is not None else 5 * n + 100
-    counter = OperationCounter()
-
-    # Snapshot the preconditioner's lifetime counter so only *this solve's*
-    # work is merged into the result (preconditioners are reusable objects).
-    precond_before = m.counter.as_dict() if hasattr(m, "counter") else None
-
-    u = np.zeros(n) if u0 is None else np.array(u0, dtype=float)
-    r = np.asarray(f - k @ u, dtype=float)
-    counter.matvecs += 1
-    rt = m.apply(r)
-    p = np.array(rt, dtype=float)
-    rho = inner(rt, r)
-    counter.inner_products += 1
-    f_norm = float(np.linalg.norm(f))
-
-    # Steady-state workspaces: K·p and the α·p / α·Kp products are written
-    # into preallocated buffers so the loop allocates nothing per iteration
-    # (see repro.kernels.ops; the arithmetic is bit-identical to the
-    # out-of-place spelling).
-    kp = np.empty(n)
-    step = np.empty(n)
-    fast_matvec = supports_matvec_into(k, p, kp)
-
-    delta_history: list[float] = []
-    residual_history: list[float] = []
-    if track_residual:
-        residual_history.append(float(np.linalg.norm(r)))
-
-    converged = False
-    iterations = 0
-    for iteration in range(1, maxiter + 1):
-        if fast_matvec:
-            matvec_into(k, p, kp)
-        else:
-            kp = np.asarray(k @ p, dtype=float)
-        counter.matvecs += 1
-        denom = inner(p, kp)
-        counter.inner_products += 1
-        if denom <= 0.0:
-            # Exact convergence (p = 0) or loss of positive definiteness.
-            iterations = iteration
-            converged = rho == 0.0
-            break
-        alpha = rho / denom
-
-        np.multiply(p, alpha, out=step)  # step = α·p
-        u += step
-        counter.axpys += 1
-        delta_norm = inf_norm(step)
-        delta_history.append(delta_norm)
-        iterations = iteration
-        if callback is not None:
+    require(f.ndim == 1, "pcg needs an (n,) right-hand side; see block_pcg")
+    column_callback = None
+    if callback is not None:
+        def column_callback(iteration, _column, u, delta_norm):
             callback(iteration, u, delta_norm)
-
-        if not rule.needs_residual and rule.converged(delta_norm, r, f_norm):
-            converged = True
-            break  # steps (4)–(7) skipped, as in Algorithm 1
-
-        np.multiply(kp, alpha, out=step)  # step reused as scratch: α·Kp
-        r -= step
-        counter.axpys += 1
-        if track_residual:
-            residual_history.append(float(np.linalg.norm(r)))
-        if rule.needs_residual and rule.converged(delta_norm, r, f_norm):
-            converged = True
-            break
-
-        rt = m.apply(r)
-        rho_new = inner(rt, r)
-        counter.inner_products += 1
-        beta = rho_new / rho
-        rho = rho_new
-        xpay_into(rt, beta, p)  # p = r̃ + β·p
-        counter.axpys += 1
-
-    if precond_before is not None:
-        after = m.counter.as_dict()
-        counter.precond_applications += (
-            after["precond_applications"] - precond_before["precond_applications"]
-        )
-        counter.precond_steps += (
-            after["precond_steps"] - precond_before["precond_steps"]
-        )
-        for key, value in after.items():
-            if key in precond_before and key not in (
-                "inner_products",
-                "matvecs",
-                "precond_applications",
-                "precond_steps",
-                "axpys",
-            ):
-                delta = value - precond_before[key]
-                if delta:
-                    counter.extra[key] = counter.extra.get(key, 0) + delta
-            elif key not in precond_before:
-                counter.extra[key] = counter.extra.get(key, 0) + value
-    return PCGResult(
-        u=u,
-        iterations=iterations,
-        converged=converged,
-        delta_history=delta_history,
-        residual_history=residual_history,
-        counter=counter,
-        stop_rule=rule.describe(),
-    )
+    return block_pcg(
+        k,
+        f[:, None],
+        preconditioner=preconditioner,
+        u0=u0,
+        stopping=stopping,
+        eps=eps,
+        maxiter=maxiter,
+        track_residual=track_residual,
+        callback=column_callback,
+    ).column(0)
 
 
 def cg(k, f, **kwargs) -> PCGResult:
@@ -332,8 +246,7 @@ def _merge_precond_delta(
 
     Every batched application charges each column the identical structural
     amounts (the block kernels scale their counters by the column count),
-    so the per-column slice is exactly ``delta / share`` — the same merge
-    :func:`pcg` performs for a single column.
+    so the per-column slice is exactly ``delta / share``.
     """
     for key, value in after.items():
         delta = value - before.get(key, 0)
@@ -375,8 +288,9 @@ def block_pcg(
     single-vector form (same accumulation order — see
     :func:`repro.kernels.ops.supports_matvec_block`), the iterates,
     iteration counts, histories and operation counters are **bitwise
-    identical** to ``k`` independent :func:`pcg` runs; the test-suite pins
-    this.  Operators or preconditioners without a block-safe path fall
+    identical** to ``k`` independent single-column solves (:func:`pcg`);
+    the test-suite pins this.  A zero, negative or non-finite ``pᵀKp``
+    stops its column only.  Operators or preconditioners without a block-safe path fall
     back to per-column application of the exact single-vector kernels —
     slower, still bitwise.
 
@@ -419,7 +333,7 @@ def block_pcg(
     block_precond = bool(getattr(m, "block_capable", False))
     has_counter = hasattr(m, "counter")
 
-    # Per-column state: contiguous (n,) vectors, exactly what pcg() holds.
+    # Per-column state: contiguous (n,) vectors and Python scalars.
     f_cols = [np.ascontiguousarray(F[:, j]) for j in range(ncols)]
     if u0 is None:
         u = [np.zeros(n) for _ in range(ncols)]
@@ -433,25 +347,34 @@ def block_pcg(
     f_norms = [float(np.linalg.norm(f)) for f in f_cols]
     delta_histories: list[list[float]] = [[] for _ in range(ncols)]
     residual_histories: list[list[float]] = [[] for _ in range(ncols)]
-    iterations = np.zeros(ncols, dtype=int)
-    converged = np.zeros(ncols, dtype=bool)
-    rho = np.zeros(ncols)
+    iterations = [0] * ncols
+    converged = [False] * ncols
+    rho = [0.0] * ncols
 
-    # r⁰ = f − K u⁰ (one charged product per column, as in pcg; with the
-    # zero start K u⁰ is exactly zero, so r⁰ = f bitwise).
-    r: list[np.ndarray] = []
+    # Steady-state workspaces: a single column's K·p and the α·p / α·Kp
+    # products land in preallocated buffers, so the loop allocates
+    # nothing per iteration (the arithmetic is bit-identical to the
+    # out-of-place spelling).  Every operand is a contiguous float64
+    # (n,) vector, so the zero-allocation decision holds for the solve.
     kp_buf = np.empty(n)
     step = np.empty(n)
-    for j in range(ncols):
-        if u0 is None:
-            r.append(f_cols[j].copy())
-        else:
-            if supports_matvec_into(k, u[j], kp_buf):
-                matvec_into(k, u[j], kp_buf)
-                r.append(f_cols[j] - kp_buf)
-            else:
-                r.append(np.asarray(f_cols[j] - k @ u[j], dtype=float))
-        counters[j].matvecs += 1
+    fast_matvec = supports_matvec_into(k, kp_buf, kp_buf)
+
+    def product(x: np.ndarray) -> np.ndarray:
+        """``K x`` for one column; valid until the next call."""
+        if fast_matvec:
+            matvec_into(k, x, kp_buf)
+            return kp_buf
+        return np.asarray(k @ x, dtype=float)
+
+    # r⁰ = f − K u⁰ (one charged product per column; with the zero start
+    # K u⁰ is exactly zero, so r⁰ = f bitwise).
+    r = [
+        f_cols[j].copy() if u0 is None else f_cols[j] - product(u[j])
+        for j in range(ncols)
+    ]
+    for counter in counters:
+        counter.matvecs += 1
 
     # Per-width scratch blocks, reused across iterations: the active set
     # only shrinks as columns retire, so a handful of widths ever appear
@@ -466,57 +389,73 @@ def block_pcg(
             buf = bufs.setdefault(width, np.empty((n, width)))
         return buf
 
-    def apply_precond(cols: list[int]) -> list[np.ndarray]:
-        """``M⁻¹`` on the active columns — one batched pass when possible."""
-        before = m.counter.as_dict() if has_counter else None
-        if len(cols) > 1 and block_precond:
-            r_block = _stack_buf(stack_bufs, len(cols))
-            np.stack([r[j] for j in cols], axis=1, out=r_block)
-            rt_block = np.asarray(m.apply(r_block), dtype=float)
-            out = [np.ascontiguousarray(rt_block[:, i]) for i in range(len(cols))]
-        else:
-            out = [np.array(m.apply(r[j]), dtype=float) for j in cols]
-        if before is not None:
+    # Preconditioner work is read off its lifetime counter.  Every
+    # application charges each participating column the same amounts, so
+    # the delta over a run of applications to one active set splits
+    # evenly: snapshot only when the set changes (a single column, like
+    # a k=1 solve, takes one snapshot per solve).
+    charged: list = [None, None]  # [columns, counter snapshot]
+
+    def settle() -> None:
+        cols, before = charged
+        if cols is not None:
             _merge_precond_delta(
                 [counters[j] for j in cols], before, m.counter.as_dict(),
                 share=len(cols),
             )
-        return out
 
-    rt = apply_precond(list(range(ncols)))
+    def apply_precond(cols: list[int]) -> list[np.ndarray]:
+        """``M⁻¹`` on the active columns — one batched pass when possible.
+
+        A lone column's result is consumed before the next application,
+        so it may stay in the preconditioner's pooled buffer; columns
+        applied one by one need their own copies.
+        """
+        if has_counter and cols != charged[0]:
+            settle()
+            charged[:] = [cols, m.counter.as_dict()]
+        if len(cols) == 1:
+            return [np.asarray(m.apply(r[cols[0]]), dtype=float)]
+        if block_precond:
+            r_block = _stack_buf(stack_bufs, len(cols))
+            np.stack([r[j] for j in cols], axis=1, out=r_block)
+            rt_block = np.asarray(m.apply(r_block), dtype=float)
+            return [np.ascontiguousarray(rt_block[:, i]) for i in range(len(cols))]
+        return [np.array(m.apply(r[j]), dtype=float) for j in cols]
+
+    active = list(range(ncols))
+    rt = apply_precond(active)
     p = [np.array(x, dtype=float) for x in rt]
-    for i, j in enumerate(range(ncols)):
-        rho[j] = inner(rt[i], r[j])
+    for j in active:
+        rho[j] = inner(rt[j], r[j])
         counters[j].inner_products += 1
         if track_residual:
             residual_histories[j].append(float(np.linalg.norm(r[j])))
 
-    active = list(range(ncols))
     for iteration in range(1, maxiter + 1):
         if not active:
             break
         # ---- K p over the active block: one batched product -------------
+        kp_block = None
         if len(active) > 1 and block_matvec:
             p_block = _stack_buf(stack_bufs, len(active))
             np.stack([p[j] for j in active], axis=1, out=p_block)
             kp_block = _stack_buf(kp_bufs, len(active))
             kp_block.fill(0.0)
             matvec_accumulate(k, p_block, kp_block)
-            kp = [np.ascontiguousarray(kp_block[:, i]) for i in range(len(active))]
-        else:
-            kp = []
-            for j in active:
-                if supports_matvec_into(k, p[j], kp_buf):
-                    matvec_into(k, p[j], kp_buf)
-                    kp.append(kp_buf.copy())
-                else:
-                    kp.append(np.asarray(k @ p[j], dtype=float))
         survivors: list[int] = []
-        for j, kpj in zip(active, kp):
+        for i, j in enumerate(active):
+            kpj = (
+                np.ascontiguousarray(kp_block[:, i])
+                if kp_block is not None
+                else product(p[j])
+            )
             counters[j].matvecs += 1
             denom = inner(p[j], kpj)
             counters[j].inner_products += 1
-            if denom <= 0.0:
+            if not denom > 0.0:
+                # Exact convergence (p = 0), loss of positive definiteness
+                # or a non-finite pᵀKp: the column stops here.
                 iterations[j] = iteration
                 converged[j] = rho[j] == 0.0
                 continue
@@ -560,10 +499,11 @@ def block_pcg(
                 counters[j].axpys += 1
         active = survivors
 
+    settle()
     return BlockPCGResult(
         u=np.stack(u, axis=1),
-        iterations=iterations,
-        converged=converged,
+        iterations=np.array(iterations, dtype=int),
+        converged=np.array(converged, dtype=bool),
         delta_histories=delta_histories,
         residual_histories=residual_histories,
         counters=counters,

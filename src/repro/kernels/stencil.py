@@ -46,7 +46,9 @@ class _GroupTable:
     CSR block rows of :class:`~repro.multicolor.blocked.BlockedMatrix`
     accumulate in, which keeps the sweeps bitwise comparable.  ``cols``
     are clipped into range; out-of-range positions carry a zero
-    coefficient, so their gathered garbage contributes exactly ``±0.0``.
+    coefficient, so what they gather contributes exactly ``±0.0`` once
+    the rows read before being written are cleared
+    (:attr:`StencilOperator._sweep_unwritten_rows`).
     """
 
     rows: np.ndarray
@@ -121,6 +123,7 @@ class StencilOperator:
         )
         self.workspace = WorkspacePool()
         self._tables = None
+        self._unwritten = None
         self._plan = None
         self._native = False  # resolved lazily: None or the kernel pack
         self._sweep_plan = False  # resolved lazily: None or (native, arrays)
@@ -382,6 +385,27 @@ class StencilOperator:
         return self._tables
 
     @property
+    def _sweep_unwritten_rows(self) -> np.ndarray:
+        """Rows a sweep gathers before it has written them.
+
+        Only the first forward color pass does this: a color's lower
+        entries also gather at clipped and cross-color positions of
+        colors not yet solved, always with coefficient exactly ``0.0``.
+        That product is ``±0.0`` for any finite stale value but NaN for a
+        NaN or Inf one, so the sweeps zero these rows of their pooled
+        output first — a few boundary rows (256 of 65,536 at g=256).
+        """
+        if self._unwritten is None:
+            written = np.zeros(self.n, dtype=bool)
+            unwritten = np.zeros(self.n, dtype=bool)
+            for t in self.sweep_tables:
+                for _, _, cols, _ in t.lower:
+                    unwritten[cols] |= ~written[cols]
+                written[t.rows] = True
+            self._unwritten = np.flatnonzero(unwritten)
+        return self._unwritten
+
+    @property
     def sweep_plan(self):
         """Flattened sweep schedule for the fused native kernel, or ``None``.
 
@@ -523,6 +547,7 @@ class StencilSSOR:
         pool = self.workspace
         r = np.ascontiguousarray(r)
         rt = pool.get("rt", r.shape)
+        rt[op._sweep_unwritten_rows] = 0.0
         if r.ndim == 1:
             y = pool.get("ssor_y", (n,))
             native.ssor_vector(n, m, nc, arrays, self.coefficients, r, rt, y)
@@ -577,6 +602,7 @@ class StencilSSOR:
             )
             self.__dict__["_apply_buffers"] = cache
         _, rt, ar, y, xs, zs, gs, args, divisors = cache
+        rt[op._sweep_unwritten_rows] = 0.0
         one_d = r.ndim == 1
         multiplies = 0
         solves = 0

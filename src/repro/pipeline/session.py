@@ -27,6 +27,14 @@ serves:
   including the batched Table-3 lockstep pass
   (:meth:`repro.machines.fem_machine.FiniteElementMachine.solve_schedule`).
 
+Both solve methods are one code path over either operator representation.
+The effective backend picks a private representation object once per
+session — the permuted CSR blocked system, or the matrix-free stencil in
+natural ordering — which owns the operator, the permutation in and out,
+the applicator factory, the shard recipe and shard payload, and the
+``operator_backend`` label; the cell solve itself never asks which one
+it holds.
+
 :attr:`stats` counts the compile-level artifacts (colorings, interval
 measurements, applicator factorizations, machine layouts) so tests can
 assert structurally that executing N cells × K right-hand sides performs
@@ -104,6 +112,106 @@ def _normalize_sharding(sharding) -> tuple[int, int | None]:
         return max(sharding, 1), None
     workers, group = sharding
     return max(int(workers), 1), (None if group is None else int(group))
+
+
+class _AssembledRepresentation:
+    """The permuted CSR representation: the multicolor blocked system.
+
+    Solves run on ``blocked.permuted``; right-hand sides are permuted in
+    and iterates permuted back out.  Workers of the sharded path rebuild
+    the plan's realization (merged sweep or kernel-dispatched splitting)
+    from a recipe plus the operator's CSR arrays, shipped through shared
+    memory when enabled.
+    """
+
+    label = "csr"
+
+    def __init__(self, blocked: BlockedMatrix):
+        self.blocked = blocked
+        self.operator = blocked.permuted
+
+    def permute_in(self, F: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(self.blocked.ordering.permute_vector(F))
+
+    def permute_out(self, U: np.ndarray) -> np.ndarray:
+        return self.blocked.ordering.unpermute_vector(U)
+
+    def realization(self, plan: SolverPlan, applicator, backend):
+        """``(applicator, backend)`` names after the plan's defaults."""
+        return (
+            applicator if applicator is not None else plan.applicator,
+            backend if backend is not None else plan.backend,
+        )
+
+    def build_applicator(self, coefficients, applicator, backend, omega):
+        return build_mstep_applicator(
+            self.blocked, coefficients, applicator=applicator,
+            backend=backend, omega=omega,
+        )
+
+    def recipe(self, coefficients, applicator, backend, omega) -> ApplicatorRecipe:
+        if applicator == "sweep":
+            ordering = self.blocked.ordering
+            return ApplicatorRecipe(
+                kind="sweep",
+                coefficients=coefficients,
+                groups=np.sort(ordering.groups),
+                labels=tuple(ordering.labels),
+            )
+        return ApplicatorRecipe(
+            kind="splitting", coefficients=coefficients, omega=omega,
+            backend=backend,
+        )
+
+    def shard_handle(self, tokens: set):
+        """The operator as a shard payload: shared-memory segments
+        (their token recorded in ``tokens``) or the pickled CSR arrays."""
+        if not shm.shm_enabled():
+            return CSRPayload.from_matrix(self.operator)
+        mtoken = matrix_token(self.operator)
+        tokens.add(mtoken)
+        return shm.registry().publish_operator(mtoken, self.operator)
+
+
+class _StencilRepresentation:
+    """The matrix-free representation: the stencil in natural ordering.
+
+    Nothing is permuted (K is the same matrix, so the iteration is the
+    similarity-transformed twin of the permuted CSR run — iterates map
+    through the permutation, iteration counts agree exactly).  The one
+    realization is :class:`~repro.kernels.StencilSSOR`, whose "build" is
+    binding coefficients to the operator; workers rebuild the operator
+    from its tiny :class:`~repro.parallel.StencilDescription`, so no
+    operator segments are ever published.
+    """
+
+    label = STENCIL
+    blocked = None
+
+    def __init__(self, operator):
+        self.operator = operator
+
+    def permute_in(self, F: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(F)
+
+    def permute_out(self, U: np.ndarray) -> np.ndarray:
+        return U
+
+    def realization(self, plan: SolverPlan, applicator, backend):
+        require(
+            applicator in (None, "sweep"),
+            "the stencil backend runs the merged sweeps only",
+        )
+        return "sweep", STENCIL
+
+    def build_applicator(self, coefficients, applicator, backend, omega):
+        return StencilSSOR(self.operator, coefficients)
+
+    def recipe(self, coefficients, applicator, backend, omega) -> ApplicatorRecipe:
+        return ApplicatorRecipe(kind="stencil", coefficients=coefficients)
+
+    def shard_handle(self, tokens: set):
+        return stencil_description(self.operator)
 
 
 @dataclass
@@ -214,7 +322,7 @@ class SolverSession:
         self._coefficients: dict = {}
         self._applicators: dict = {}
         self._stencil = None
-        self._stencil_applicators: dict = {}
+        self._representations: dict = {}
         self._machines: dict = {}
         self._compiled = False
         # Shared-memory operator tokens this session published; released
@@ -292,6 +400,26 @@ class SolverSession:
             self.stats.coefficient_builds += 1
         return self._coefficients[key]
 
+    def _representation(self, backend: str | None = None, applicator=None):
+        """The operator representation the effective backend solves on.
+
+        ``"stencil"`` → the matrix-free operator in natural ordering;
+        anything else → the permuted CSR blocked system.  Each is built
+        once per session; ``applicator`` is validated against it.
+        """
+        backend = backend if backend is not None else self.plan.backend
+        kind = STENCIL if backend == STENCIL else "csr"
+        rep = self._representations.get(kind)
+        if rep is None:
+            rep = (
+                _StencilRepresentation(self.stencil())
+                if kind == STENCIL
+                else _AssembledRepresentation(self.blocked)
+            )
+            self._representations[kind] = rep
+        rep.realization(self.plan, applicator, backend)
+        return rep
+
     def applicator(
         self,
         m: int,
@@ -299,40 +427,26 @@ class SolverSession:
         applicator: str | None = None,
         backend: str | None = None,
     ):
-        """The cell's compiled preconditioner realization (cached)."""
-        if m == 0:
-            return None
-        applicator = applicator if applicator is not None else self.plan.applicator
-        backend = backend if backend is not None else self.plan.backend
-        key = (m, parametrized, applicator, backend)
-        if key not in self._applicators:
-            self._applicators[key] = build_mstep_applicator(
-                self.blocked,
-                self.coefficients(m, parametrized),
-                applicator=applicator,
-                backend=backend,
-                omega=self.plan.omega,
-            )
-            self.stats.applicator_builds += 1
-        return self._applicators[key]
+        """The cell's compiled preconditioner realization (cached).
 
-    def stencil_applicator(self, m: int, parametrized: bool):
-        """The cell's matrix-free m-step sweep preconditioner (cached).
-
-        The stencil backend's counterpart of :meth:`applicator`: a
+        On the assembled path the plan's (or the given) realization over
+        the permuted blocked system; on the ``"stencil"`` backend a
         :class:`~repro.kernels.StencilSSOR` running the Conrad–Wallach
         merged sweeps color-wise straight off the stencil — no factors,
         so "building" one is just binding coefficients to the operator.
         """
         if m == 0:
             return None
-        key = (m, parametrized)
-        if key not in self._stencil_applicators:
-            self._stencil_applicators[key] = StencilSSOR(
-                self.stencil(), self.coefficients(m, parametrized)
+        rep = self._representation(backend, applicator)
+        applicator, backend = rep.realization(self.plan, applicator, backend)
+        key = (m, parametrized, applicator, backend)
+        if key not in self._applicators:
+            self._applicators[key] = rep.build_applicator(
+                self.coefficients(m, parametrized), applicator, backend,
+                self.plan.omega,
             )
             self.stats.applicator_builds += 1
-        return self._stencil_applicators[key]
+        return self._applicators[key]
 
     def _shard_recipe(
         self,
@@ -344,62 +458,32 @@ class SolverSession:
         """The cell's applicator as a picklable rebuild recipe.
 
         Worker processes of the sharded block path reconstruct the exact
-        realization the plan names — the merged multicolor sweep or the
-        kernel-dispatched splitting — from this description plus the
-        shard's CSR payload, through the same constructors
-        :func:`repro.driver.build_mstep_applicator` uses.
+        realization the plan names — the merged multicolor sweep, the
+        kernel-dispatched splitting or the stencil sweep — from this
+        description plus the shard's operator payload, through the same
+        constructors the serial path uses, so iterates stay bitwise
+        identical.
         """
         if m == 0:
             return ApplicatorRecipe(kind="none")
-        kind = applicator if applicator is not None else self.plan.applicator
-        coefficients = self.coefficients(m, parametrized)
-        if kind == "sweep":
-            ordering = self.blocked.ordering
-            return ApplicatorRecipe(
-                kind="sweep",
-                coefficients=coefficients,
-                groups=np.sort(ordering.groups),
-                labels=tuple(ordering.labels),
-            )
-        return ApplicatorRecipe(
-            kind="splitting",
-            coefficients=coefficients,
-            omega=self.plan.omega,
-            backend=backend if backend is not None else self.plan.backend,
-        )
-
-    def _stencil_shard_recipe(self, m: int, parametrized: bool) -> ApplicatorRecipe:
-        """The matrix-free cell's applicator as a picklable rebuild recipe.
-
-        Workers reconstruct :class:`~repro.kernels.stencil.StencilSSOR`
-        around the operator they rebuilt from the shard's
-        :class:`~repro.parallel.StencilDescription` — the same constructor
-        the serial path uses, so iterates stay bitwise identical.
-        """
-        if m == 0:
-            return ApplicatorRecipe(kind="none")
-        return ApplicatorRecipe(
-            kind="stencil", coefficients=self.coefficients(m, parametrized)
+        rep = self._representation(backend, applicator)
+        applicator, backend = rep.realization(self.plan, applicator, backend)
+        return rep.recipe(
+            self.coefficients(m, parametrized), applicator, backend,
+            self.plan.omega,
         )
 
     def compile(self) -> "SolverSession":
         """Force every plan artifact now (idempotent).
 
-        Touches the blocked system, the interval (iff some cell is
-        parametrized), and every cell's coefficients and applicator, so a
-        compiled session's executes perform no factorization work at all.
+        Touches the operator representation (blocked system or stencil),
+        the interval (iff some cell is parametrized), and every cell's
+        coefficients and applicator, so a compiled session's executes
+        perform no factorization work at all.
         """
         if self._compiled:
             return self
-        if self.plan.backend == STENCIL:
-            _ = self.stencil()
-            if self.plan.needs_interval:
-                _ = self.interval
-            for m, parametrized in self.plan.schedule:
-                self.stencil_applicator(m, parametrized)
-            self._compiled = True
-            return self
-        _ = self.blocked
+        self._representation()
         if self.plan.needs_interval:
             _ = self.interval
         for m, parametrized in self.plan.schedule:
@@ -415,17 +499,15 @@ class SolverSession:
     ) -> int:
         """Pay the sharded path's one-time costs now, not on the first solve.
 
-        Compiles the session, publishes the permuted operator's CSR
-        arrays to the shared-memory registry (one copy, reused by every
-        later dispatch against this session), starts the worker pool, and
-        dispatches :func:`~repro.parallel.warm_shard` specs so each
-        worker attaches the operator and factorizes every plan cell's
-        applicator *before* the first timed solve.  On the stencil
-        backend nothing rides shared memory for the operator — each warm
-        spec carries the tiny :class:`~repro.parallel.StencilDescription`
-        workers rebuild the matrix-free operator from.  Returns the number of
-        warm dispatches issued; serial sharding (``None`` or one worker)
-        is a no-op.
+        Compiles the session, publishes the operator for the workers (the
+        permuted CSR arrays go to the shared-memory registry once, reused
+        by every later dispatch against this session; a stencil ships as
+        its tiny :class:`~repro.parallel.StencilDescription`), starts the
+        worker pool, and dispatches :func:`~repro.parallel.warm_shard`
+        specs so each worker attaches the operator and builds every plan
+        cell's applicator *before* the first timed solve.  Returns the
+        number of warm dispatches issued; serial sharding (``None`` or one
+        worker) is a no-op.
 
         Warm-started this way, a steady-state
         :meth:`solve_cell_block` dispatch ships only column indices and a
@@ -435,49 +517,21 @@ class SolverSession:
         if workers <= 1:
             return 0
         self.compile()
-        stencil_backend = self.plan.backend == STENCIL
-        if stencil_backend:
-            require(
-                applicator in (None, "sweep"),
-                "the stencil backend runs the merged sweeps only",
-            )
-            k_mat = self.stencil()
-        else:
-            k_mat = self.blocked.permuted
-        recipes = []
-        seen: set[str] = set()
+        rep = self._representation(backend, applicator)
+        recipes = {}
         for m, parametrized in self.plan.schedule:
-            recipe = (
-                self._stencil_shard_recipe(m, parametrized)
-                if stencil_backend
-                else self._shard_recipe(
-                    m, parametrized, applicator=applicator, backend=backend
-                )
+            recipe = self._shard_recipe(
+                m, parametrized, applicator=applicator, backend=backend
             )
-            token = shard_token(k_mat, recipe)
-            if token not in seen:
-                seen.add(token)
-                recipes.append((token, recipe))
-        if not recipes:
-            return 0
-        if stencil_backend:
-            # The operator ships as its tiny diagonal description — no CSR
-            # segments to publish; workers rebuild it bitwise on attach.
-            handle = stencil_description(k_mat)
-        elif shm.shm_enabled():
-            reg = shm.registry()
-            mtoken = matrix_token(k_mat)
-            handle = reg.publish_operator(mtoken, k_mat)
-            self._shm_tokens.add(mtoken)
-        else:
-            handle = CSRPayload.from_matrix(k_mat)
+            recipes.setdefault(shard_token(rep.operator, recipe), recipe)
+        handle = rep.shard_handle(self._shm_tokens)
         empty = np.empty((0, 0))
         specs = [
             ShardSpec(
                 token=token, matrix=handle, recipe=recipe,
                 columns=np.arange(0), F=empty,
             )
-            for token, recipe in recipes
+            for token, recipe in recipes.items()
             for _ in range(workers)  # one warm task per pool slot
         ]
         run_tasks(warm_shard, specs, workers)
@@ -522,6 +576,13 @@ class SolverSession:
         self._shm_finalizer()
 
     # ----------------------------------------------------------------- execution
+    def _cell(self, m: int, parametrized: bool):
+        """The cell's ``(coefficients, interval)`` record fields."""
+        if m == 0:
+            return None, self._interval
+        interval = self.interval if parametrized else self._interval
+        return self.coefficients(m, parametrized), interval
+
     def solve_cell(
         self,
         m: int,
@@ -539,107 +600,35 @@ class SolverSession:
         Numerically identical to :func:`repro.driver.solve_mstep_ssor` —
         which since this refactor *is* a one-cell session — but coloring,
         interval, coefficients and the preconditioner factorization come
-        from the session caches.
+        from the session caches.  Any backend: the session's operator
+        representation (permuted CSR or natural-order stencil) supplies
+        the operator, the applicator and the permutation in and out.
         """
         require(m >= 0, "m must be non-negative")
-        backend_name = backend if backend is not None else self.plan.backend
-        if backend_name == STENCIL:
-            return self._solve_cell_stencil(
-                m, parametrized, f=f, eps=eps, stopping=stopping,
-                maxiter=maxiter, track_residual=track_residual,
-                applicator=applicator,
-            )
-        blocked = self.blocked
-        ordering = blocked.ordering
+        rep = self._representation(backend, applicator)
         f = self.problem.f if f is None else f
-        f_mc = ordering.permute_vector(np.asarray(f, dtype=float))
-
-        interval = self._interval
-        coefficients = None
-        preconditioner = None
-        if m >= 1:
-            if parametrized:
-                interval = self.interval
-            coefficients = self.coefficients(m, parametrized)
-            preconditioner = self.applicator(
+        coefficients, interval = self._cell(m, parametrized)
+        result = pcg(
+            rep.operator,
+            rep.permute_in(np.asarray(f, dtype=float)),
+            preconditioner=self.applicator(
                 m, parametrized, applicator=applicator, backend=backend
-            )
-
-        result = pcg(
-            blocked.permuted,
-            f_mc,
-            preconditioner=preconditioner,
+            ),
             eps=eps if eps is not None else self.plan.eps,
             stopping=stopping,
             maxiter=maxiter if maxiter is not None else self.plan.maxiter,
             track_residual=track_residual,
         )
         self.stats.solves += 1
-        self.stats.operator_backend = "csr"
+        self.stats.operator_backend = rep.label
         return MStepSolve(
             result=result,
-            u=ordering.unpermute_vector(result.u),
+            u=rep.permute_out(result.u),
             m=m,
             parametrized=parametrized,
             coefficients=coefficients,
             interval=interval,
-            blocked=blocked,
-        )
-
-    def _solve_cell_stencil(
-        self,
-        m: int,
-        parametrized: bool = False,
-        f: np.ndarray | None = None,
-        eps: float | None = None,
-        stopping: StoppingRule | None = None,
-        maxiter: int | None = None,
-        track_residual: bool = False,
-        applicator: str | None = None,
-    ) -> MStepSolve:
-        """:meth:`solve_cell` on the matrix-free path (natural ordering).
-
-        The stencil backend never permutes: PCG runs on the operator in
-        natural ordering (K is the same matrix, so the iteration is the
-        similarity-transformed twin of the permuted CSR run — iterates
-        map through the permutation, iteration counts agree exactly).
-        """
-        require(
-            applicator in (None, "sweep"),
-            "the stencil backend runs the merged sweeps only",
-        )
-        operator = self.stencil()
-        f = self.problem.f if f is None else f
-        f = np.asarray(f, dtype=float)
-
-        interval = self._interval
-        coefficients = None
-        preconditioner = None
-        if m >= 1:
-            if parametrized:
-                interval = self.interval
-            coefficients = self.coefficients(m, parametrized)
-            preconditioner = self.stencil_applicator(m, parametrized)
-
-        result = pcg(
-            operator,
-            f,
-            preconditioner=preconditioner,
-            eps=eps if eps is not None else self.plan.eps,
-            stopping=stopping,
-            maxiter=maxiter if maxiter is not None else self.plan.maxiter,
-            track_residual=track_residual,
-        )
-        self.stats.solves += 1
-        self.stats.operator_backend = STENCIL
-        return MStepSolve(
-            result=result,
-            u=result.u,
-            m=m,
-            parametrized=parametrized,
-            coefficients=coefficients,
-            interval=interval,
-            blocked=None,
+            blocked=rep.blocked,
         )
 
     def solve_cell_block(
@@ -680,47 +669,29 @@ class SolverSession:
         is exactly the serial lockstep.
         """
         require(m >= 0, "m must be non-negative")
-        backend_name = backend if backend is not None else self.plan.backend
-        if backend_name == STENCIL:
-            return self._solve_cell_block_stencil(
-                m, parametrized, F=F, eps=eps, stopping=stopping,
-                maxiter=maxiter, track_residual=track_residual,
-                applicator=applicator, sharding=sharding,
-            )
-        blocked = self.blocked
-        ordering = blocked.ordering
+        rep = self._representation(backend, applicator)
         if F is None:
             F = np.asarray(self.problem.f, dtype=float)[:, None]
         F = np.asarray(F, dtype=float)
         if F.ndim == 1:
             F = F[:, None]
         require(F.ndim == 2, "F must be an (n, k) block of right-hand sides")
-        f_mc = np.ascontiguousarray(ordering.permute_vector(F))
-
-        interval = self._interval
-        coefficients = None
-        if m >= 1:
-            if parametrized:
-                interval = self.interval
-            coefficients = self.coefficients(m, parametrized)
+        F = rep.permute_in(F)
+        coefficients, interval = self._cell(m, parametrized)
 
         workers, group = _normalize_sharding(sharding)
-        groups = (
-            column_groups(f_mc.shape[1], workers, group) if workers > 1 else []
-        )
-        sharded = len(groups) > 1
+        groups = column_groups(F.shape[1], workers, group) if workers > 1 else []
         eps_value = eps if eps is not None else self.plan.eps
         maxiter_value = maxiter if maxiter is not None else self.plan.maxiter
-        if sharded:
+        if len(groups) > 1:
             # Workers rebuild the applicator from the recipe; the parent
-            # never factorizes (or pickles) a live one on this path.
-            recipe = self._shard_recipe(
-                m, parametrized, applicator=applicator, backend=backend
-            )
+            # never builds (or pickles) a live one on this path.
             result = sharded_block_pcg(
-                blocked.permuted,
-                f_mc,
-                recipe=recipe,
+                rep.operator,
+                F,
+                recipe=self._shard_recipe(
+                    m, parametrized, applicator=applicator, backend=backend
+                ),
                 workers=workers,
                 group=group,
                 eps=eps_value,
@@ -732,19 +703,14 @@ class SolverSession:
             if shm.shm_enabled():
                 # The dispatch published segments under the operator's
                 # token; tie their lifetime to this session.
-                self._shm_tokens.add(matrix_token(blocked.permuted))
+                self._shm_tokens.add(matrix_token(rep.operator))
         else:
-            preconditioner = (
-                self.applicator(
+            result = block_pcg(
+                rep.operator,
+                F,
+                preconditioner=self.applicator(
                     m, parametrized, applicator=applicator, backend=backend
-                )
-                if m >= 1
-                else None
-            )
-            result = block_pcg(
-                blocked.permuted,
-                f_mc,
-                preconditioner=preconditioner,
+                ),
                 eps=eps_value,
                 stopping=stopping,
                 maxiter=maxiter_value,
@@ -752,105 +718,15 @@ class SolverSession:
             )
         self.stats.solves += result.k
         self.stats.block_solves += 1
-        self.stats.operator_backend = "csr"
+        self.stats.operator_backend = rep.label
         return BlockMStepSolve(
             result=result,
-            u=ordering.unpermute_vector(result.u),
+            u=rep.permute_out(result.u),
             m=m,
             parametrized=parametrized,
             coefficients=coefficients,
             interval=interval,
-            blocked=blocked,
-        )
-
-    def _solve_cell_block_stencil(
-        self,
-        m: int,
-        parametrized: bool = False,
-        F: np.ndarray | None = None,
-        eps: float | None = None,
-        stopping: StoppingRule | None = None,
-        maxiter: int | None = None,
-        track_residual: bool = False,
-        applicator: str | None = None,
-        sharding=None,
-    ) -> BlockMStepSolve:
-        """:meth:`solve_cell_block` on the matrix-free path.
-
-        Sharding works exactly as on the assembled path, except the
-        operator ships as its :class:`~repro.parallel.StencilDescription`
-        (workers rebuild the matrix-free operator bitwise from the tiny
-        diagonal description) while the right-hand-side and output blocks
-        still ride shared memory when enabled.
-        """
-        require(
-            applicator in (None, "sweep"),
-            "the stencil backend runs the merged sweeps only",
-        )
-        operator = self.stencil()
-        if F is None:
-            F = np.asarray(self.problem.f, dtype=float)[:, None]
-        F = np.asarray(F, dtype=float)
-        if F.ndim == 1:
-            F = F[:, None]
-        require(F.ndim == 2, "F must be an (n, k) block of right-hand sides")
-        F = np.ascontiguousarray(F)
-
-        interval = self._interval
-        coefficients = None
-        if m >= 1:
-            if parametrized:
-                interval = self.interval
-            coefficients = self.coefficients(m, parametrized)
-
-        workers, group = _normalize_sharding(sharding)
-        groups = (
-            column_groups(F.shape[1], workers, group) if workers > 1 else []
-        )
-        eps_value = eps if eps is not None else self.plan.eps
-        maxiter_value = maxiter if maxiter is not None else self.plan.maxiter
-        if len(groups) > 1:
-            recipe = self._stencil_shard_recipe(m, parametrized)
-            result = sharded_block_pcg(
-                operator,
-                F,
-                recipe=recipe,
-                workers=workers,
-                group=group,
-                eps=eps_value,
-                stopping=stopping,
-                maxiter=maxiter_value,
-                track_residual=track_residual,
-            )
-            self.stats.shard_dispatches += len(groups)
-            if shm.shm_enabled():
-                # RHS/output blocks were published under the operator's
-                # token; tie their lifetime to this session.
-                self._shm_tokens.add(matrix_token(operator))
-        else:
-            preconditioner = (
-                self.stencil_applicator(m, parametrized) if m >= 1 else None
-            )
-            result = block_pcg(
-                operator,
-                F,
-                preconditioner=preconditioner,
-                eps=eps_value,
-                stopping=stopping,
-                maxiter=maxiter_value,
-                track_residual=track_residual,
-            )
-        self.stats.solves += result.k
-        self.stats.block_solves += 1
-        self.stats.operator_backend = STENCIL
-        return BlockMStepSolve(
-            result=result,
-            u=result.u,
-            m=m,
-            parametrized=parametrized,
-            coefficients=coefficients,
-            interval=interval,
-            blocked=None,
+            blocked=rep.blocked,
         )
 
     def execute(self, f: np.ndarray | None = None) -> list[MStepSolve]:

@@ -109,21 +109,57 @@ class TestRetirementEdgeCases:
     """The ISSUE's named edge cases."""
 
     def test_k1_block_is_bitwise_the_scalar_pcg(self, system):
+        # Every argument pcg adapts on its way into the k=1 block: the
+        # start vector, the callback's (iteration, u, delta) order,
+        # residual tracking, residual-based stopping, a plain ndarray
+        # operator and the iteration cap.
+        from repro.core.convergence import RelativeResidual
+
         problem, blocked = system
         f = blocked.ordering.permute_vector(np.asarray(problem.f, float))
         coeffs = neumann_coefficients(3)
-        block = block_pcg(
-            blocked.permuted, f[:, None],
-            preconditioner=build_mstep_applicator(blocked, coeffs),
-            eps=EPS, track_residual=True,
-        )
-        solo = pcg(
-            blocked.permuted, f,
-            preconditioner=build_mstep_applicator(blocked, coeffs),
-            eps=EPS, track_residual=True,
-        )
-        assert block.k == 1
-        _assert_column_matches(block.column(0), solo)
+        dense = blocked.permuted.toarray()
+        u0 = np.random.default_rng(31).normal(size=blocked.n)
+        cases = [
+            dict(track_residual=True),
+            dict(u0=u0),
+            dict(track_residual=True, stopping=RelativeResidual(tol=1e-8)),
+            dict(operator=dense),
+            dict(eps=1e-14, maxiter=4),
+            dict(callback=True, track_residual=True),
+        ]
+        for case in cases:
+            kwargs = {"eps": EPS, **case}
+            operator = kwargs.pop("operator", blocked.permuted)
+            calls: dict[str, list] = {"block": [], "solo": []}
+            block_cb = solo_cb = None
+            if kwargs.pop("callback", False):
+                def block_cb(it, j, u, delta):
+                    calls["block"].append((it, u.copy(), delta))
+
+                def solo_cb(it, u, delta):
+                    calls["solo"].append((it, u.copy(), delta))
+            block = block_pcg(
+                operator, f[:, None],
+                preconditioner=build_mstep_applicator(blocked, coeffs),
+                callback=block_cb, **kwargs,
+            )
+            solo = pcg(
+                operator, f,
+                preconditioner=build_mstep_applicator(blocked, coeffs),
+                callback=solo_cb, **kwargs,
+            )
+            assert block.k == 1
+            _assert_column_matches(block.column(0), solo)
+            assert block.stop_rule == solo.stop_rule
+            assert len(calls["block"]) == len(calls["solo"])
+            for (ib, ub, db), (is_, us, ds) in zip(calls["block"], calls["solo"]):
+                assert ib == is_ and db == ds
+                assert np.array_equal(ub, us)
+            if solo_cb is not None:
+                assert len(calls["solo"]) == solo.iterations > 0
+            if "maxiter" in kwargs:
+                assert solo.iterations == 4 and not solo.converged
 
     def test_zero_column_mixed_with_hard_columns(self, system):
         # An already-converged RHS (f = 0) retires on iteration 1 with
@@ -261,3 +297,33 @@ class TestResultObject:
             solo = cg(blocked.permuted, np.ascontiguousarray(F[:, j]),
                       u0=u0, eps=1e-6)
             _assert_column_matches(block.column(j), solo)
+
+
+class TestNonFiniteInput:
+    """A non-finite ``pᵀKp`` is a breakdown: the column stops unconverged
+    instead of iterating on NaN to ``maxiter``."""
+
+    def test_nan_rhs_stops_within_one_iteration(self, system):
+        _, blocked = system
+        f = np.full(blocked.n, np.nan)
+        for precond in (None, build_mstep_applicator(blocked, neumann_coefficients(2))):
+            result = pcg(blocked.permuted, f, preconditioner=precond, eps=EPS)
+            assert result.iterations <= 1
+            assert not result.converged
+
+    def test_nan_column_leaves_other_columns_bitwise(self, system):
+        _, blocked = system
+        F = _rhs_block(blocked, ncols=3, seed=41)
+        poisoned = F.copy()
+        poisoned[5, 1] = np.nan
+        precond = lambda: build_mstep_applicator(  # noqa: E731
+            blocked, neumann_coefficients(2)
+        )
+        clean = block_pcg(blocked.permuted, F, preconditioner=precond(), eps=EPS)
+        block = block_pcg(
+            blocked.permuted, poisoned, preconditioner=precond(), eps=EPS
+        )
+        assert int(block.iterations[1]) <= 1
+        assert not bool(block.converged[1])
+        for j in (0, 2):
+            _assert_column_matches(block.column(j), clean.column(j))

@@ -20,7 +20,7 @@ from repro.fem.matrixfree import (
     stencil_interval,
     stencil_operator,
 )
-from repro.kernels import StencilOperator, StencilSSOR
+from repro.kernels import StencilOperator, StencilSSOR, WorkspacePool
 from repro.kernels.backend import SOLVER_BACKENDS
 from repro.multicolor import MStepSSOR
 from repro.pipeline import SolverPlan, SolverSession, build_scenario
@@ -217,6 +217,53 @@ def test_fused_sweep_native_vs_fallback_bitwise(name, kw, m, monkeypatch):
     assert sweep_native.counter == sweep_plain.counter
 
 
+def _force_fallback(monkeypatch) -> None:
+    import repro.kernels.stencil as stencil_mod
+
+    monkeypatch.setattr(stencil_mod, "load_native", lambda: None)
+
+
+class _PoisonedPool(WorkspacePool):
+    """A pool whose freshly allocated buffers hold ``fill`` — the bytes
+    ``np.empty`` hands back are arbitrary, NaN and Inf patterns included."""
+
+    def __init__(self, fill: float):
+        super().__init__()
+        self.fill = fill
+
+    def get(self, name, shape, dtype=np.float64):
+        before = self.peek(name)
+        buf = super().get(name, shape, dtype)
+        if buf is not before:
+            buf.fill(self.fill)
+        return buf
+
+
+@pytest.mark.parametrize("native", [True, False], ids=["native", "fallback"])
+@pytest.mark.parametrize("name,kw", SCENARIOS, ids=[s[0] for s in SCENARIOS])
+def test_sweep_ignores_stale_pooled_memory(name, kw, native, monkeypatch):
+    """Whatever a fresh pool buffer holds, the sweep's result is the same
+    bits: the gathers that read a buffer before the sweep writes it carry
+    an exactly-zero coefficient, and 0·NaN would still be NaN."""
+    if not native:
+        _force_fallback(monkeypatch)
+    op = stencil_operator(build_scenario(name, **kw))
+    if native and op.sweep_plan is None:
+        pytest.skip("no compiled kernel in this environment")
+    coeffs = np.array([1.2, 0.9, 0.4])
+    rng = np.random.default_rng(19)
+    # k = 9 runs the generic (runtime-width) block body.
+    for r in (rng.normal(size=op.n), rng.normal(size=(op.n, 3)),
+              rng.normal(size=(op.n, 9))):
+        outs = [
+            np.array(StencilSSOR(op, coeffs, workspace=_PoisonedPool(fill)).apply(r))
+            for fill in (0.0, np.nan, np.inf, -np.inf)
+        ]
+        assert np.all(np.isfinite(outs[0]))
+        for out in outs[1:]:
+            assert np.array_equal(out, outs[0])
+
+
 def test_native_so_cache_hit(tmp_path, monkeypatch):
     """The second interpreter's construction compiles nothing: the
     content-hashed ``.so`` from the first build is dlopened straight from
@@ -283,6 +330,8 @@ def test_session_parity_vs_csr(name, kw, m, k):
         assert _relerr(r_csr.u, r_st.u) <= TOL
     assert s_st.stats.operator_backend == "stencil"
     assert s_csr.stats.operator_backend == "csr"
+    for key in ("solves", "block_solves", "applicator_builds"):
+        assert getattr(s_st.stats, key) == getattr(s_csr.stats, key), key
 
 
 @pytest.mark.parametrize("k", [1, 4])
@@ -309,6 +358,74 @@ def test_session_parity_stretched_plate(k):
         r_st = s_st.solve_cell_block(2, F=F)
         assert np.array_equal(r_csr.iterations, r_st.iterations)
     assert _relerr(r_csr.u, r_st.u) <= TOL
+
+
+@pytest.mark.parametrize("native", [True, False], ids=["native", "fallback"])
+def test_nan_request_leaves_the_session_clean(native, monkeypatch):
+    """A non-finite right-hand side stops unconverged at once, and the
+    next good request on the same session is bitwise a fresh session's
+    answer: no NaN lingers in the pooled sweep buffers."""
+    if not native:
+        _force_fallback(monkeypatch)
+    plan = SolverPlan.single(2, backend="stencil")
+    session = SolverSession(build_scenario("poisson", n_grid=12), plan=plan)
+    n = session.problem.f.size
+    rng = np.random.default_rng(37)
+    f, F = rng.normal(size=n), rng.normal(size=(n, 3))
+
+    bad = session.solve_cell(2, f=np.full(n, np.nan))
+    assert not bad.result.converged and bad.iterations <= 1
+    bad_block = session.solve_cell_block(2, F=np.full((n, 3), np.nan))
+    assert not np.any(bad_block.result.converged)
+
+    fresh = SolverSession(build_scenario("poisson", n_grid=12), plan=plan)
+    pairs = [
+        (session.solve_cell(2, f=f), fresh.solve_cell(2, f=f)),
+        (session.solve_cell_block(2, F=F), fresh.solve_cell_block(2, F=F)),
+    ]
+    for got, want in pairs:
+        assert np.all(got.result.converged)
+        assert np.array_equal(got.u, want.u)
+        assert np.array_equal(got.iterations, want.iterations)
+
+
+#: SessionStats deltas one request adds, per solve path (k = 4 columns).
+_PATH_DELTAS = {
+    "solve_cell": dict(solves=1, block_solves=0, applicator_builds=1,
+                       shard_dispatches=0),
+    "solve_cell_block": dict(solves=4, block_solves=1, applicator_builds=1,
+                             shard_dispatches=0),
+    "sharded": dict(solves=4, block_solves=1, applicator_builds=0,
+                    shard_dispatches=2),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_PATH_DELTAS))
+def test_session_stats_parity_csr_vs_stencil(path):
+    """CSR and stencil sessions share one cell solve, so a request moves
+    the same SessionStats counters on either representation."""
+    F = np.random.default_rng(43).normal(
+        size=(build_scenario("poisson", n_grid=12).f.size, 4)
+    )
+    for backend, label in ((None, "csr"), ("stencil", "stencil")):
+        session = SolverSession(
+            build_scenario("poisson", n_grid=12),
+            plan=SolverPlan.single(2, backend=backend),
+        )
+        try:
+            if path == "solve_cell":
+                session.solve_cell(2, f=F[:, 0])
+            else:
+                session.solve_cell_block(
+                    2, F=F, sharding=2 if path == "sharded" else None
+                )
+            stats = session.stats
+            assert {key: getattr(stats, key) for key in _PATH_DELTAS[path]} == (
+                _PATH_DELTAS[path]
+            ), label
+            assert stats.operator_backend == label
+        finally:
+            session.close()
 
 
 def test_matrix_free_end_to_end():
