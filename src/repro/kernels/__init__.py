@@ -35,7 +35,6 @@ from repro.kernels.ops import (
     xpay_into,
 )
 from repro.kernels.triangular import (
-    ColorBlockMergedSweep,
     ColorBlockTriangularSolver,
     FactorizedTriangularSolver,
     ReferenceTriangularSolver,
@@ -65,7 +64,6 @@ __all__ = [
     "supports_matvec_block",
     "supports_matvec_into",
     "xpay_into",
-    "ColorBlockMergedSweep",
     "ColorBlockTriangularSolver",
     "FactorizedTriangularSolver",
     "ReferenceTriangularSolver",

@@ -15,8 +15,11 @@ Reproduces the paper's vector-machine organization faithfully:
 * **Inner products** pay the partial-sum penalty of
   :meth:`~repro.machines.timing.VectorTimingModel.dot_time` ("considerably
   slower than the other vector operations").
-* The m-step preconditioner runs the same Conrad–Wallach merged sweeps as
-  :class:`repro.multicolor.sor.MStepSSOR`, expressed in vector primitives.
+* The m-step preconditioner is Algorithm 2's Conrad–Wallach merged sweeps:
+  its numerics run through :class:`repro.multicolor.sor.MStepSSOR` over
+  the padded, masked blocked system (or the hand-rolled ``"reference"``
+  per-color solves), and its cost is charged as the vector-primitive
+  stream the paper's loop emits.
 
 Numerics are exact (NumPy); only the clock is simulated.  The iterates are
 identical (to roundoff-in-summation-order) to the reference Algorithm 1 on
@@ -34,11 +37,12 @@ from repro.fem.model_problems import PlateProblem
 from repro.fem.plane_stress import assemble_plate_full
 from repro.kernels import ops as kernel_ops
 from repro.kernels.backend import REFERENCE, resolve_backend
-from repro.kernels.triangular import ColorBlockMergedSweep, ColorBlockTriangularSolver
 from repro.machines.diagonals import DiagonalStorage
 from repro.machines.timing import CYBER_203, VectorTimingModel
 from repro.machines.vector import VectorMachine
+from repro.multicolor.blocked import BlockedMatrix
 from repro.multicolor.ordering import MulticolorOrdering
+from repro.multicolor.sor import MStepSSOR
 from repro.util import require
 
 __all__ = ["CyberResult", "CyberMachine"]
@@ -149,7 +153,7 @@ class CyberMachine:
         self.max_vector_length = max(
             (s.stop - s.start) for s in self.slices
         )
-        self._merged_sweep: ColorBlockMergedSweep | None = None
+        self._sweep: MStepSSOR | None = None
         self._charge_stream_cache: dict = {}
 
     # ------------------------------------------------------------- primitives
@@ -256,8 +260,9 @@ class CyberMachine:
         single pipeline startup (:meth:`VectorTimingModel.block_op_time`).
 
         The loop skeleton mirrors :meth:`_precondition_reference` step for
-        step (and, through it, the kernel merged sweep); the
-        backend-equivalence suite pins the three in lockstep.
+        step (and, through it, :meth:`MStepSSOR.apply
+        <repro.multicolor.sor.MStepSSOR.apply>`); the backend-equivalence
+        suite pins the three in lockstep.
         """
         nc = self.n_groups
 
@@ -335,61 +340,34 @@ class CyberMachine:
                 y[0] = x
         return rt
 
-    def _sweep_kernel(self) -> ColorBlockMergedSweep:
-        """The cached kernel-layer realization of Algorithm 2 (built once).
+    def _sweep_kernel(self) -> MStepSSOR:
+        """The cached kernel realization of Algorithm 2 (built once).
 
-        The padded multicolor system, with constrained rows and columns
-        masked out (the control vector, baked into the operator so no
-        per-color masking pass is needed), splits into its block-lower and
-        block-upper triangles; each becomes a
-        :class:`ColorBlockTriangularSolver` whose cached per-color CSR
-        sub-blocks drive the merged sweeps for single vectors or ``(n, k)``
-        blocks of right-hand sides.
+        An :class:`MStepSSOR` over the padded multicolor system with the
+        constrained rows and columns of its off-diagonal part masked out
+        (the control vector, baked into the operator so no per-color
+        masking pass is needed): a residual that is zero on the
+        constrained slots keeps them zero through every sweep.  Each call
+        passes its own α schedule, ``(m,)`` or ``(m, k)``, to
+        :meth:`MStepSSOR.apply`.
         """
-        if self._merged_sweep is None:
+        if self._sweep is None:
             # Reassemble the padded system on demand rather than retaining
-            # the full CSR for the machine's lifetime — the steady-state
-            # footprint stays at the diagonal-storage level the
-            # storage_report() ledger documents.
+            # it from __init__: solves that never precondition (m = 0) and
+            # the pure cost-model queries never pay for it.
             k_full, _ = assemble_plate_full(
                 self.problem.mesh,
                 self.problem.material,
                 element_scale=self.problem.element_scale,
             )
-            k = self.ordering.permute_matrix(k_full).tocsr()
-            diag = np.concatenate(self.diagonals)
-            mask = sp.diags(self.free_mask.astype(float))
-            off_masked = (mask @ (k - sp.diags(k.diagonal())) @ mask).tocsr()
-            t_lower = (sp.diags(diag) + sp.tril(off_masked, -1)).tocsr()
-            t_upper = (sp.diags(diag) + sp.triu(off_masked, 1)).tocsr()
-            self._merged_sweep = ColorBlockMergedSweep(
-                ColorBlockTriangularSolver(t_lower, self.slices, lower=True),
-                ColorBlockTriangularSolver(t_upper, self.slices, lower=False),
-            )
-            self._permuted = None  # the sweep's cached sub-blocks suffice now
-        return self._merged_sweep
-
-    def _precondition(
-        self,
-        vm: VectorMachine,
-        coefficients: np.ndarray,
-        r: np.ndarray,
-        backend: str,
-    ) -> np.ndarray:
-        """Algorithm 2 — merged Conrad–Wallach sweeps, backend-dispatched.
-
-        Both backends charge the identical vector-primitive stream (the
-        cost is structural); only the numeric engine differs — the
-        ``"reference"`` per-color diagonal-storage solves, or the kernel
-        layer's cached color-block sweeps.  Iterates agree to roundoff
-        (summation order differs), clocks and op counts exactly.
-        """
-        self._charge_precondition(vm, coefficients.size)
-        if backend == REFERENCE:
-            return self._precondition_reference(coefficients, r)
-        # The kernel returns a pooled workspace buffer; Algorithm 1 never
-        # holds r̃ across preconditioner applications, so no copy is needed.
-        return self._sweep_kernel().apply(coefficients, r)
+            k = k_full.tocsr()
+            diag = k.diagonal()
+            free = sp.diags(np.repeat(~self.problem.mesh.is_constrained, 2).astype(float))
+            masked = (free @ (k - sp.diags(diag)) @ free + sp.diags(diag)).tocsr()
+            masked.eliminate_zeros()
+            blocked = BlockedMatrix.from_matrix(masked, self.ordering)
+            self._sweep = MStepSSOR(blocked, np.ones(1))
+        return self._sweep
 
     def precondition_block(
         self,
@@ -440,7 +418,7 @@ class CyberMachine:
                 )
             return out
         self._charge_precondition(vm, m, width=width)
-        return self._sweep_kernel().apply(coefficients, masked).copy()
+        return self._sweep_kernel().apply(masked, coefficients).copy()
 
     # ----------------------------------------------------------- cost model
     def iteration_costs(self) -> tuple[float, float]:
@@ -507,92 +485,20 @@ class CyberMachine:
 
         ``m = 0`` (or empty coefficients) runs plain CG.  For m ≥ 1 supply
         the ``αᵢ`` — :func:`repro.driver.mstep_coefficients` builds them —
-        or all-ones is assumed.
+        or all-ones is assumed.  One cell of :meth:`solve_schedule`.
 
         ``backend`` mirrors :func:`repro.driver.solve_mstep_ssor`: the
-        default ``"vectorized"`` routes the preconditioner through the
-        kernel layer's cached :class:`ColorBlockTriangularSolver` sweeps,
-        ``"reference"`` keeps the hand-rolled per-color diagonal-storage
-        solves.  The charged clock and operation counts are identical
-        either way (the cost stream is structural); iterates agree to
-        roundoff-in-summation-order.
+        default ``"vectorized"`` routes the preconditioner through
+        :meth:`_sweep_kernel`'s :class:`MStepSSOR`, ``"reference"`` keeps
+        the hand-rolled per-color diagonal-storage solves.  The charged
+        clock and operation counts are identical either way (the cost
+        stream is structural); iterates agree to roundoff-in-summation-order.
         """
-        require(m >= 0, "m must be non-negative")
-        backend = resolve_backend(backend)
-        if m >= 1:
-            coefficients = (
-                np.ones(m) if coefficients is None else np.asarray(coefficients, float)
-            )
-            require(coefficients.size == m, "need one coefficient per step")
-            parametrized = not np.allclose(coefficients, 1.0)
-        else:
-            coefficients = None
-            parametrized = False
-
-        vm = VectorMachine(self.timing)
-        precond_seconds = 0.0
-        maxiter = maxiter if maxiter is not None else 5 * self.n_padded + 100
-
-        def precondition(r: np.ndarray) -> np.ndarray:
-            nonlocal precond_seconds
-            if coefficients is None:
-                return vm.copy(r)
-            before = vm.elapsed_seconds
-            out = self._precondition(vm, coefficients, r, backend)
-            precond_seconds += vm.elapsed_seconds - before
-            return out
-
-        u = vm.fill(self.n_padded, 0.0)
-        r = vm.copy(self.f)  # u⁰ = 0 ⇒ r⁰ = f
-        rt = precondition(r)
-        p = vm.copy(rt)
-        rho = vm.dot(rt, r)
-
-        converged = False
-        iterations = 0
-        for iteration in range(1, maxiter + 1):
-            kp = self._matvec(vm, p)
-            denom = vm.dot(p, kp)
-            if denom <= 0.0:
-                iterations = iteration
-                converged = rho == 0.0
-                break
-            vm.scalar()  # α
-            alpha = rho / denom
-
-            step = vm.scale(alpha, p)
-            u = vm.add(u, step)
-            delta_norm = vm.abs_max(step)
-            iterations = iteration
-            if delta_norm < eps:
-                converged = True
-                break
-
-            r = vm.axpy(-alpha, kp, r)
-            rt = precondition(r)
-            rho_new = vm.dot(rt, r)
-            vm.scalar()  # β
-            beta = rho_new / rho
-            rho = rho_new
-            p = vm.axpy(beta, p, rt)
-
-        u_natural = self._to_natural(u)
-        seconds = vm.elapsed_seconds
-        if label is None:
-            label = "0" if m == 0 else (f"{m}P" if parametrized else f"{m}")
-        return CyberResult(
-            label=label,
-            m=m,
-            parametrized=parametrized,
-            iterations=iterations,
-            converged=converged,
-            seconds=seconds,
-            max_vector_length=self.max_vector_length,
-            op_breakdown=vm.log.breakdown(),
-            u_natural=u_natural,
-            preconditioner_seconds=precond_seconds,
-            outer_seconds=seconds - precond_seconds,
+        [result] = self.solve_schedule(
+            [(m, coefficients)], eps=eps, maxiter=maxiter, labels=[label],
+            backend=backend,
         )
+        return result
 
     def solve_schedule(
         self,
@@ -600,6 +506,7 @@ class CyberMachine:
         eps: float = 1e-6,
         maxiter: int | None = None,
         labels=None,
+        backend: str | None = None,
     ) -> list[CyberResult]:
         """All schedule cells through **one** lockstep simulator pass.
 
@@ -608,20 +515,24 @@ class CyberMachine:
         plain CG).  Every cell's Algorithm 1 advances one outer iteration
         per pass of the loop below; the still-active cells' direction
         vectors and residuals are stacked into ``(n, k)`` blocks so the
-        matvec runs once per iteration (:meth:`_matvec_block`) and the
-        preconditioner once per distinct ``m`` (the batched per-column-α
-        merged sweep of :class:`ColorBlockMergedSweep`), instead of once
-        per cell.
+        matvec runs once per iteration (:meth:`_matvec_block`) and so does
+        the preconditioner (one :class:`MStepSSOR` apply with an
+        ``(m, k)`` per-column α schedule, shorter schedules zero-padded at
+        the top), instead of once per cell.  The ``"reference"``
+        ``backend`` preconditions cell by cell with
+        :meth:`_precondition_reference` instead.
 
         The *charge* stream stays strictly per cell: each cell owns a
         :class:`VectorMachine` whose ledger replays exactly the sequence
-        :meth:`solve` would emit, and the batched numerics are elementwise
-        broadcasts and compiled multi-vector matvecs whose columns are
-        bit-identical to the single-vector kernels.  Iteration counts,
-        modeled clocks, op breakdowns and iterates therefore match the
-        per-column path bitwise — only the wall-clock of the simulation
-        itself drops (the tests and the perf gate hold both properties).
+        the cell would emit alone, and the batched numerics are
+        elementwise broadcasts and compiled multi-vector matvecs whose
+        columns are bit-identical to the single-vector kernels.
+        Iteration counts, modeled clocks, op breakdowns and iterates
+        therefore match a one-cell pass (:meth:`solve`) bitwise — only the
+        wall-clock of the simulation itself drops (the tests and the perf
+        gate hold both properties).
         """
+        backend = resolve_backend(backend)
         states: list[_ScheduleCellState] = []
         for m, coefficients in cells:
             require(m >= 0, "m must be non-negative")
@@ -646,12 +557,17 @@ class CyberMachine:
         maxiter = maxiter if maxiter is not None else 5 * n + 100
 
         def precondition_batched(group_states: list[_ScheduleCellState]) -> None:
-            """One batched Algorithm-2 application per distinct m."""
-            groups: dict[int, list[_ScheduleCellState]] = {}
+            """One batched Algorithm-2 application for every m ≥ 1 cell.
+
+            Schedules shorter than the longest are zero-padded at the top:
+            a padded column stays exactly zero until its own first step,
+            so each column is bit-identical to a solo application.
+            """
+            pre: list[_ScheduleCellState] = []
             for st in group_states:
                 if st.coefficients is None:
-                    # Plain CG: r̃ = r, charged but (as in :meth:`solve`)
-                    # not booked as preconditioner time.
+                    # Plain CG: r̃ = r, charged but not booked as
+                    # preconditioner time.
                     st.rt = st.vm.copy(st.r)
                     continue
                 before = st.vm.elapsed_seconds
@@ -663,23 +579,26 @@ class CyberMachine:
                     ),
                 )
                 st.precond_seconds += st.vm.elapsed_seconds - before
-                groups.setdefault(st.m, []).append(st)
-            if not groups:
+                if backend == REFERENCE:
+                    st.rt = self._precondition_reference(st.coefficients, st.r)
+                else:
+                    pre.append(st)
+            if not pre:
                 return
             sweep = self._sweep_kernel()
-            for group in groups.values():
-                if len(group) == 1:
-                    st = group[0]
-                    st.rt = sweep.apply(st.coefficients, st.r).copy()
-                    continue
-                coeffs = np.stack([st.coefficients for st in group], axis=1)
-                r_block = np.stack([st.r for st in group], axis=1)
-                rt_block = sweep.apply(coeffs, r_block)
-                for idx, st in enumerate(group):
-                    st.rt = np.ascontiguousarray(rt_block[:, idx])
+            if len(pre) == 1:
+                st = pre[0]
+                st.rt = sweep.apply(st.r, st.coefficients).copy()
+                return
+            coeffs = np.zeros((max(st.m for st in pre), len(pre)))
+            for idx, st in enumerate(pre):
+                coeffs[: st.m, idx] = st.coefficients
+            r_block = np.stack([st.r for st in pre], axis=1)
+            rt_block = sweep.apply(r_block, coeffs)
+            for idx, st in enumerate(pre):
+                st.rt = np.ascontiguousarray(rt_block[:, idx])
 
-        # Startup: u⁰ = 0, r⁰ = f, r̃⁰ = M⁻¹r⁰, p⁰ = r̃⁰, ρ₀ — the exact
-        # per-cell sequence of :meth:`solve`.
+        # Startup: u⁰ = 0, r⁰ = f, r̃⁰ = M⁻¹r⁰, p⁰ = r̃⁰, ρ₀.
         for st in states:
             st.u = st.vm.fill(n, 0.0)
             st.r = st.vm.copy(self.f)

@@ -61,6 +61,14 @@ class MessageLedger:
     def total_words(self) -> int:
         return sum(self.words_by_kind.values())
 
+    def absorb(self, other: "MessageLedger") -> None:
+        """Add ``other``'s traffic to this ledger (keys in first-seen order)."""
+        self.messages += other.messages
+        for kind, words in other.words_by_kind.items():
+            self.words_by_kind[kind] = self.words_by_kind.get(kind, 0) + words
+        for pair, words in other.words_by_pair.items():
+            self.words_by_pair[pair] = self.words_by_pair.get(pair, 0) + words
+
 
 @dataclass
 class SPMDResult:
@@ -446,62 +454,15 @@ class SPMDSolver:
         eps: float = 1e-6,
         maxiter: int | None = None,
     ) -> SPMDResult:
-        require(m >= 0, "m must be non-negative")
-        if m >= 1:
-            coefficients = (
-                np.ones(m) if coefficients is None else np.asarray(coefficients, float)
-            )
-            require(coefficients.size == m, "need one coefficient per step")
-        f_mc = self.ordering.permute_vector(np.asarray(self.problem.f, dtype=float))
-        maxiter = maxiter if maxiter is not None else 5 * self.n + 100
+        """One cell of :meth:`solve_schedule`, booked on :attr:`ledger`.
 
-        fd = self.scatter(f_mc)
-        ud = [np.zeros_like(x) for x in fd]
-        rd = [x.copy() for x in fd]  # u⁰ = 0
-        if m >= 1:
-            rtd = self.precondition(coefficients, rd)
-        else:
-            rtd = [x.copy() for x in rd]
-        pd = [x.copy() for x in rtd]
-        rho = self.dot(rtd, rd)
-        halos = self.new_halos()
-
-        converged = False
-        iterations = 0
-        for iteration in range(1, maxiter + 1):
-            kpd = self.matvec(pd, halos)
-            denom = self.dot(pd, kpd)
-            if denom <= 0.0:
-                iterations = iteration
-                converged = rho == 0.0
-                break
-            alpha = rho / denom
-            stepd = [alpha * pd[p] for p in range(self.n_procs)]
-            ud = self.axpy(1.0, stepd, ud)
-            delta = self.inf_norm(stepd)
-            iterations = iteration
-            if delta < eps:
-                converged = True
-                break
-            rd = self.axpy(-alpha, kpd, rd)
-            rtd = (
-                self.precondition(coefficients, rd)
-                if m >= 1
-                else [x.copy() for x in rd]
-            )
-            rho_new = self.dot(rtd, rd)
-            beta = rho_new / rho
-            rho = rho_new
-            pd = self.axpy(beta, pd, rtd)
-
-        u_mc = self.gather(ud)
-        return SPMDResult(
-            iterations=iterations,
-            converged=converged,
-            u_natural=self.ordering.unpermute_vector(u_mc),
-            ledger=self.ledger,
-            n_procs=self.n_procs,
-        )
+        The solver-lifetime ledger accumulates every solve's traffic; the
+        returned result carries it (not the cell's own ledger).
+        """
+        [result] = self.solve_schedule([(m, coefficients)], eps=eps, maxiter=maxiter)
+        self.ledger.absorb(result.ledger)
+        result.ledger = self.ledger
+        return result
 
     def solve_schedule(
         self,
@@ -521,9 +482,9 @@ class SPMDSolver:
         (per-column α schedules, smaller m zero-padded — see
         :meth:`precondition`).  Each cell owns a
         :class:`MessageLedger`; batched exchanges book each cell exactly
-        the words its solo solve would move, so per-cell iteration
-        counts, iterates and message ledgers are bitwise identical to
-        per-cell :meth:`solve` runs (pinned in the tests).
+        the words its solo pass would move, so per-cell iteration
+        counts, iterates and message ledgers do not depend on which
+        cells share the pass (pinned in the tests).
         """
         states: list[_SPMDCellState] = []
         for m, coefficients in cells:
@@ -580,8 +541,7 @@ class SPMDSolver:
                     for p in range(n_procs)
                 ]
 
-        # Startup: u⁰ = 0, r⁰ = f, r̃⁰ = M⁻¹r⁰, p⁰ = r̃⁰, ρ₀ — the exact
-        # per-cell sequence of :meth:`solve`.
+        # Startup: u⁰ = 0, r⁰ = f, r̃⁰ = M⁻¹r⁰, p⁰ = r̃⁰, ρ₀.
         for st in states:
             fd = self.scatter(f_mc)
             st.ud = [np.zeros_like(x) for x in fd]

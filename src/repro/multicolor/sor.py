@@ -246,13 +246,21 @@ class MStepSSOR:
         return cached
 
     # ------------------------------------------------------- fast application
-    def apply(self, r: np.ndarray) -> np.ndarray:
+    def apply(
+        self, r: np.ndarray, coefficients: np.ndarray | None = None
+    ) -> np.ndarray:
         """``M_m⁻¹ r`` via the Conrad–Wallach merged sweeps (Algorithm 2).
 
         Accepts a vector ``(n,)`` or an ``(n, k)`` block of right-hand
         sides (one batched pass, per-column bit-identical to single
         applications); counters are charged **per column**, so a block
         application books exactly what ``k`` solo applications would.
+        ``coefficients`` optionally replaces the α schedule for this one
+        call: ``(m',)`` shared by every column, or ``(m', k)`` giving each
+        column of an ``(n, k)`` block its own schedule — the batched
+        multi-cell passes of the CYBER simulator.  Per-column α's enter
+        only through the elementwise ``α·r`` product, so each column stays
+        bit-identical to a solo apply with its own schedule.
         The inner loops run off the :class:`BlockedMatrix`'s cached sweep
         tables (per-color block lists, no dict probing) and out of pooled
         workspace buffers: the result vector, the per-color ``y``
@@ -261,16 +269,28 @@ class MStepSSOR:
         The returned array is a pooled buffer, valid until the next
         ``apply`` on this object — copy it if it must outlive that.
         """
+        r = np.asarray(r, dtype=float)
+        if coefficients is None:
+            alphas = self.coefficients
+        else:
+            alphas = np.asarray(coefficients, dtype=float)
+            require(
+                alphas.ndim in (1, 2) and alphas.shape[0] >= 1,
+                "per-call coefficients need at least one step",
+            )
+            require(
+                alphas.ndim == 1 or (r.ndim == 2 and alphas.shape[1] == r.shape[1]),
+                "per-column coefficients need an (n, k) block with matching "
+                "column count",
+            )
         blocked = self.blocked
         nc = blocked.n_groups
-        m = self.m
-        alphas = self.coefficients
+        m = int(alphas.shape[0])
         lower_ops, upper_ops, lower_counts, upper_counts = self._bound_sweep_ops()
         slices = blocked.group_slices
         diagonals = blocked.diagonals
         pool = self.workspace
 
-        r = np.asarray(r, dtype=float)
         rt_pooled = pool.peek("rt")
         if rt_pooled is not None and np.may_share_memory(r, rt_pooled):
             # The caller fed us our own pooled result; overwriting it below

@@ -41,7 +41,10 @@ class SolverPlan:
         Parametrization of the αᵢ (see
         :func:`repro.driver.mstep_coefficients`).
     omega:
-        SSOR relaxation parameter for the splitting/interval.
+        SSOR relaxation parameter for the splitting/interval.  The merged
+        sweeps (``"sweep"``, the stencil sweep, the machine simulators)
+        are ω = 1 SSOR, so ω ≠ 1 needs ``applicator="splitting"`` and
+        then 0 < ω < 2.
     applicator:
         ``"sweep"`` (Conrad–Wallach merged sweeps) or ``"splitting"``
         (kernel-dispatched m-step Horner over the SSOR splitting).
@@ -80,9 +83,16 @@ class SolverPlan:
         require(len(schedule) >= 1, "a plan needs at least one schedule cell")
         require(all(m >= 0 for m, _ in schedule), "m must be non-negative")
         require(self.eps > 0, "eps must be positive")
-        require(self.omega > 0, "omega must be positive")
         require(self.applicator in ("sweep", "splitting"),
                 "applicator must be 'sweep' or 'splitting'")
+        if self.applicator == "splitting":
+            require(0.0 < self.omega < 2.0, "SSOR needs 0 < omega < 2")
+        else:
+            require(
+                self.omega == 1.0,
+                "the merged sweeps are omega = 1 SSOR; omega != 1 needs "
+                "applicator='splitting'",
+            )
         resolve_solver_backend(self.backend)  # raises listing valid choices
         require(
             not (self.backend == STENCIL and self.applicator == "splitting"),

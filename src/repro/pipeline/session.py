@@ -778,13 +778,24 @@ class SolverSession:
     # ------------------------------------------------------------------ machines
     def schedule_cells(self) -> list[tuple[int, np.ndarray | None]]:
         """The plan's cells as ``(m, coefficients)`` pairs for the machines."""
+        self._require_unit_omega()
         return [
             (m, self.coefficients(m, parametrized))
             for m, parametrized in self.plan.schedule
         ]
 
+    def _require_unit_omega(self) -> None:
+        """The machine simulators run ω = 1 SSOR sweeps; refuse α's fitted
+        on any other ω's interval rather than silently mismatch them."""
+        require(
+            self.plan.omega == 1.0,
+            "the machine simulators are omega = 1 SSOR; "
+            f"this plan has omega = {self.plan.omega!r}",
+        )
+
     def cyber(self, timing=None) -> CyberMachine:
         """The CYBER simulator for this problem (laid out once, cached)."""
+        self._require_unit_omega()
         timing = timing if timing is not None else CYBER_203
         key = ("cyber", timing)
         if key not in self._machines:
@@ -913,6 +924,7 @@ class SolverSession:
 
     def fem(self, n_procs: int = 1, **kwargs) -> FiniteElementMachine:
         """A Finite Element Machine sharing the session's blocked system."""
+        self._require_unit_omega()
         key = ("fem", n_procs, tuple(sorted(kwargs.items())))
         if key not in self._machines:
             self._machines[key] = FiniteElementMachine(

@@ -188,6 +188,12 @@ class SessionCache:
                 f"scenario {request.scenario!r} does not support backend "
                 f"{request.backend!r}; supported: {', '.join(spec.backends)}"
             )
+        if request.omega != 1.0:
+            # Served systems run the merged sweeps, which are ω = 1 SSOR.
+            raise ProtocolError(
+                f"'omega' must be 1 (the served sweeps are omega = 1 SSOR), "
+                f"got {request.omega!r}"
+            )
         if request.backend == "stencil":
             # Matrix-free systems: serve off the stencil, never assemble.
             params["assemble"] = False

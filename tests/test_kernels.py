@@ -431,83 +431,61 @@ class TestOpsKernels:
         assert out == pytest.approx(1.0 + a @ x)
 
 
-class TestColorBlockMergedSweep:
-    """The kernel realization of Algorithm 2 the CYBER simulator routes to."""
-
-    def make_sweep(self, blocked):
-        from repro.kernels import ColorBlockMergedSweep
-
-        splitting = SSORSplitting(blocked.permuted)
-        return ColorBlockMergedSweep(
-            ColorBlockTriangularSolver(
-                splitting._dl, blocked.group_slices, lower=True
-            ),
-            ColorBlockTriangularSolver(
-                splitting._du, blocked.group_slices, lower=False
-            ),
-        )
+class TestMStepSSORCoefficients:
+    """Per-call α schedules of :meth:`MStepSSOR.apply` — the batched
+    multi-cell kernel the CYBER simulator preconditions through."""
 
     @pytest.mark.parametrize("m", [1, 2, 4])
-    def test_matches_mstep_ssor(self, blocked, m):
-        sweep = self.make_sweep(blocked)
+    def test_override_is_the_constructor_schedule(self, blocked, m):
         coeffs = np.arange(1.0, m + 1.0)
         r = rng_vector(blocked.n, seed=25)
-        expected = MStepSSOR(blocked, coeffs).apply(r)
-        got = sweep.apply(coeffs, r)
-        scale = max(float(np.max(np.abs(expected))), 1.0)
-        assert np.max(np.abs(got - expected)) <= TOL * scale
+        own = MStepSSOR(blocked, coeffs)
+        expected = own.apply(r).copy()
+        other = MStepSSOR(blocked, np.ones(7))
+        got = other.apply(r, coeffs)
+        assert np.array_equal(got, expected)
+        assert other.counter.as_dict() == own.counter.as_dict()
 
-    def test_batched_matches_columnwise(self, blocked):
-        sweep = self.make_sweep(blocked)
-        coeffs = np.array([1.0, 0.25, 2.0])
+    def test_block_matches_solo_applies(self, blocked):
+        sweep = MStepSSOR(blocked, np.ones(1))
         block = np.random.default_rng(26).normal(size=(blocked.n, 3))
-        batched = sweep.apply(coeffs, block).copy()
-        for col in range(block.shape[1]):
-            single = sweep.apply(coeffs, block[:, col].copy())
-            assert np.max(np.abs(batched[:, col] - single)) <= TOL
+        shared = np.array([1.0, 0.25, 2.0])
+        per_column = np.column_stack([shared, [0.5, 1.5, 1.0], [2.0, 0.0, 0.3]])
+        for coeffs in (shared, per_column):
+            batched = sweep.apply(block, coeffs).copy()
+            for col in range(block.shape[1]):
+                own = coeffs if coeffs.ndim == 1 else coeffs[:, col]
+                single = sweep.apply(block[:, col].copy(), own)
+                assert np.array_equal(batched[:, col], single)
 
     def test_steady_state_reuses_return_buffer(self, blocked):
-        sweep = self.make_sweep(blocked)
+        sweep = MStepSSOR(blocked, np.ones(1))
         r = rng_vector(blocked.n, seed=27)
-        first = sweep.apply(np.ones(2), r)
-        second = sweep.apply(np.ones(2), r)
+        first = sweep.apply(r, np.ones(2))
+        second = sweep.apply(r, np.ones(2))
         assert second is first  # pooled workspace, by design
 
     def test_apply_of_own_pooled_output(self, blocked):
-        # Feeding the pooled result back in must not zero the input.
-        sweep = self.make_sweep(blocked)
-        coeffs = np.ones(2)
+        # Feeding the pooled result back in must not overwrite the input.
+        sweep = MStepSSOR(blocked, np.ones(1))
+        coeffs = np.array([0.5, 2.0])
         r = rng_vector(blocked.n, seed=30)
-        expected = sweep.apply(coeffs, sweep.apply(coeffs, r).copy()).copy()
-        composed = sweep.apply(coeffs, sweep.apply(coeffs, r))
-        assert composed == pytest.approx(expected, rel=TOL, abs=TOL)
+        expected = sweep.apply(sweep.apply(r, coeffs).copy(), coeffs).copy()
+        composed = sweep.apply(sweep.apply(r, coeffs), coeffs)
+        assert np.array_equal(composed, expected)
 
-    def test_rejects_mismatched_factors(self, blocked):
-        from repro.kernels import ColorBlockMergedSweep
-
-        splitting = SSORSplitting(blocked.permuted)
-        lower = ColorBlockTriangularSolver(
-            splitting._dl, blocked.group_slices, lower=True
-        )
-        half = blocked.group_slices[: blocked.n_groups // 2] + (
-            slice(blocked.group_slices[blocked.n_groups // 2].start, blocked.n),
-        )
-        upper = ColorBlockTriangularSolver(splitting._du, half, lower=False)
-        with pytest.raises(ValueError, match="disagree"):
-            ColorBlockMergedSweep(lower, upper)
-
-    def test_rejects_mismatched_diagonals(self, blocked):
-        from repro.kernels import ColorBlockMergedSweep
-
-        splitting = SSORSplitting(blocked.permuted)
-        lower = ColorBlockTriangularSolver(
-            splitting._dl, blocked.group_slices, lower=True
-        )
-        upper = ColorBlockTriangularSolver(
-            (2.0 * splitting._du).tocsr(), blocked.group_slices, lower=False
-        )
-        with pytest.raises(ValueError, match="diagonal"):
-            ColorBlockMergedSweep(lower, upper)
+    def test_rejects_shape_mismatch(self, blocked):
+        sweep = MStepSSOR(blocked, np.ones(2))
+        r = rng_vector(blocked.n, seed=31)
+        block = np.stack([r, r], axis=1)
+        with pytest.raises(ValueError, match="column count"):
+            sweep.apply(r, np.ones((2, 1)))  # per-column α on a vector
+        with pytest.raises(ValueError, match="column count"):
+            sweep.apply(block, np.ones((2, 3)))
+        with pytest.raises(ValueError, match="at least one step"):
+            sweep.apply(r, np.ones(0))
+        with pytest.raises(ValueError, match="at least one step"):
+            sweep.apply(block, np.ones((2, 2, 1)))
 
 
 class TestWorkspacePool:
@@ -595,7 +573,7 @@ class TestMStepSSORAllocationFree:
 
 # --------------------------------------------------------------------------
 class TestPerfReportCLI:
-    def test_build_report_tiny_mesh(self, tmp_path):
+    def test_build_report_tiny_mesh(self, tmp_path, monkeypatch):
         import importlib.util
         from pathlib import Path
 
@@ -603,6 +581,9 @@ class TestPerfReportCLI:
         spec = importlib.util.spec_from_file_location("perf_report", path)
         perf_report = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(perf_report)
+        # The stencil rows do not follow --meshes; at their production grid
+        # (n = 65,536) the exact ARPACK interval alone takes minutes.
+        monkeypatch.setattr(perf_report, "STENCIL_GRID", 16)
 
         report = perf_report.build_report(meshes=[5], repeats=1, eps=1e-5)
         assert report["bench"] == "kernels"

@@ -25,6 +25,7 @@ from repro.driver import (
 )
 from repro.kernels import BACKENDS, REFERENCE, VECTORIZED
 from repro.machines import CYBER_203, CyberMachine, FiniteElementMachine, VectorMachine
+from repro.multicolor.sor import MStepSSOR
 
 TOL = 1e-12
 
@@ -86,12 +87,39 @@ class TestCyberBackendEquivalence:
         scale = max(float(np.max(np.abs(pin.u_natural))), 1.0)
         assert np.max(np.abs(fast.u_natural - pin.u_natural)) <= TOL * scale
 
-    def test_kernel_path_routes_through_color_block_solver(self, cyber_machine):
-        cyber_machine.solve(2, np.ones(2), eps=1e-4, backend=VECTORIZED)
+    def test_kernel_path_routes_through_color_block_solver(
+        self, cyber_machine, monkeypatch
+    ):
+        # The vectorized path preconditions through the machine's cached
+        # MStepSSOR color-block sweeps over the padded, masked system.
         sweep = cyber_machine._sweep_kernel()
-        assert sweep.lower.kind == "color_block"
-        assert sweep.upper.kind == "color_block"
-        assert sweep.n_groups == cyber_machine.n_groups
+        assert isinstance(sweep, MStepSSOR)
+        assert sweep.blocked.group_slices == cyber_machine.slices
+        assert sweep.blocked.n == cyber_machine.n_padded
+        calls = []
+        apply = sweep.apply
+        monkeypatch.setattr(
+            sweep, "apply", lambda r, c=None: calls.append(c) or apply(r, c)
+        )
+        cyber_machine.solve(2, np.ones(2), eps=1e-4, backend=VECTORIZED)
+        assert calls and all(np.array_equal(c, np.ones(2)) for c in calls)
+
+    def test_reference_backend_runs_the_hand_rolled_sweeps(
+        self, cyber_machine, monkeypatch
+    ):
+        calls = []
+        reference = cyber_machine._precondition_reference
+        monkeypatch.setattr(
+            cyber_machine,
+            "_precondition_reference",
+            lambda coeffs, r: calls.append(coeffs.size) or reference(coeffs, r),
+        )
+        result = cyber_machine.solve(2, np.ones(2), eps=1e-4, backend=REFERENCE)
+        # One application at startup plus one per continuing iteration.
+        assert calls == [2] * result.iterations
+        calls.clear()
+        cyber_machine.solve(2, np.ones(2), eps=1e-4, backend=VECTORIZED)
+        assert calls == []
 
     def test_rejects_unknown_backend(self, cyber_machine):
         with pytest.raises(ValueError, match="unknown kernel backend"):
@@ -118,10 +146,9 @@ class TestCyberBlockedPreconditioning:
     def test_block_matches_single_vector_applies(self, cyber_machine, r_block):
         coeffs = np.ones(2)
         batched = cyber_machine.precondition_block(coeffs, r_block)
-        vm = VectorMachine(cyber_machine.timing)
         for col in range(r_block.shape[1]):
-            single = cyber_machine._precondition(
-                vm, coeffs, r_block[:, col].copy(), VECTORIZED
+            single = cyber_machine._sweep_kernel().apply(
+                r_block[:, col].copy(), coeffs
             )
             assert np.max(np.abs(batched[:, col] - single)) <= TOL
         assert batched.base is None  # a fresh array, not the pooled workspace

@@ -131,6 +131,23 @@ class TestTiming:
         assert machine.solve(2, coeffs, eps=1e-4).label == "2P"
 
 
+class TestTable2Pin:
+    """The simulator's Table-2 iteration counts at a = 20, ε = 1e−6."""
+
+    def test_iteration_counts(self):
+        from repro.pipeline import SolverPlan, SolverSession
+
+        session = SolverSession.from_scenario(
+            "plate", plan=SolverPlan.table2(eps=1e-6), nrows=20
+        )
+        results = session.run_cyber_schedule()
+        assert [r.label for r in results] == list(session.plan.labels)
+        assert [r.iterations for r in results] == [
+            163, 72, 52, 41, 43, 31, 24, 20, 17, 15, 14, 12, 12,
+        ]
+        assert all(r.converged for r in results)
+
+
 class TestPaperObservations:
     """Table 2's two observations, on a reduced mesh for test speed."""
 

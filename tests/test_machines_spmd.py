@@ -88,6 +88,30 @@ class TestDistributedCorrectness:
         expected = MStepSSOR(blocked, coeffs).apply(r)
         assert solver.gather(rtd) == pytest.approx(expected, rel=1e-9, abs=1e-10)
 
+    def test_solve_accumulates_the_solver_ledger(self, plate, blocked):
+        solver = make_solver(plate, blocked, 2)
+        first = solver.solve(2, np.ones(2), eps=1e-6)
+        assert first.ledger is solver.ledger
+        once = (
+            solver.ledger.messages,
+            dict(solver.ledger.words_by_kind),
+            dict(solver.ledger.words_by_pair),
+        )
+        assert once[0] > 0
+        second = solver.solve(2, np.ones(2), eps=1e-6)
+        assert second.ledger is solver.ledger
+        assert solver.ledger.messages == 2 * once[0]
+        assert solver.ledger.words_by_kind == {k: 2 * w for k, w in once[1].items()}
+        assert solver.ledger.words_by_pair == {k: 2 * w for k, w in once[2].items()}
+        # One solve books exactly what its one-cell schedule pass moves.
+        [cell] = make_solver(plate, blocked, 2).solve_schedule(
+            [(2, np.ones(2))], eps=1e-6
+        )
+        assert cell.ledger.messages == once[0]
+        assert cell.ledger.words_by_kind == once[1]
+        assert cell.ledger.words_by_pair == once[2]
+        assert np.array_equal(cell.u_natural, second.u_natural)
+
     def test_single_processor_has_no_messages(self, plate, blocked):
         solver = make_solver(plate, blocked, 1)
         sim = solver.solve(2, np.ones(2), eps=1e-6)

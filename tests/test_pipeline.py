@@ -152,6 +152,19 @@ class TestSolverPlan:
         with pytest.raises(ValueError):
             SolverPlan(schedule=[(1, False)], applicator="magic")
 
+    def test_omega_needs_the_splitting_applicator(self):
+        # The merged sweeps are ω = 1 SSOR: an α fitted on another ω's
+        # interval would be silently mismatched to the operator applied.
+        for backend in (None, REFERENCE, "stencil"):
+            with pytest.raises(ValueError, match="applicator='splitting'"):
+                SolverPlan.single(3, True, omega=1.5, backend=backend)
+        for omega in (0.0, -0.5, 2.0, 2.5):
+            with pytest.raises(ValueError, match="0 < omega < 2"):
+                SolverPlan.single(3, True, omega=omega, applicator="splitting")
+        relaxed = SolverPlan.single(3, True, omega=1.5, applicator="splitting")
+        assert relaxed.omega == 1.5
+        assert SolverPlan.single(3, True).omega == 1.0
+
     def test_with_overrides(self):
         plan = SolverPlan.table2().with_(eps=1e-9, backend=REFERENCE)
         assert plan.eps == 1e-9 and plan.backend == REFERENCE
@@ -221,6 +234,27 @@ class TestSessionMachines:
         assert session.fem(5) is session.fem(5)
         assert session.fem(1) is not session.fem(5)
         assert session.stats.machine_builds == 3
+
+    def test_machines_require_unit_omega(self):
+        # The simulators replay ω = 1 sweeps; a relaxed splitting plan's α's
+        # are fitted for another operator, so every machine path refuses.
+        plan = SolverPlan.table3(omega=1.5, applicator="splitting")
+        session = SolverSession.from_scenario("plate", plan=plan, nrows=6)
+        calls = [
+            session.cyber,
+            lambda: session.fem(1),
+            lambda: session.fem_solve(3, True),
+            session.run_cyber_schedule,
+            lambda: session.run_cyber_schedule(workers=2),
+            session.run_fem_schedule,
+            lambda: session.run_fem_schedule(batched=False),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="omega = 1"):
+                call()
+        assert session.stats.machine_builds == 0
+        # The splitting path itself serves the relaxed plan.
+        assert session.solve_cell(3, True).result.converged
 
     def test_fem_solve_uses_cached_applicator(self):
         session = SolverSession.from_scenario(
@@ -479,10 +513,7 @@ class TestPerColumnCoefficientKernels:
         coeffs = np.column_stack([np.ones(2), [0.5, 2.0], [1.3, 0.1]])
         block = machine.precondition_block(coeffs, r)
         for col in range(3):
-            vm = VectorMachine(machine.timing)
-            single = machine._precondition(
-                vm, coeffs[:, col], r[:, col].copy(), VECTORIZED
-            )
+            single = machine._sweep_kernel().apply(r[:, col].copy(), coeffs[:, col])
             assert np.max(np.abs(block[:, col] - single)) == 0.0
 
     def test_precondition_block_reference_per_column(self, machine):

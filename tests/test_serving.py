@@ -187,6 +187,18 @@ class TestSessionCache:
         assert len(cache) == 0
         assert not entry.session._shm_finalizer.alive
 
+    def test_omega_other_than_one_is_a_protocol_error(self):
+        # Served systems run the ω = 1 merged sweeps; a relaxed ω would
+        # fit the α's on the wrong interval.
+        cache = SessionCache(capacity=2)
+        for m in (M, "auto"):
+            req = parse_solve_request(solve_payload(m=m, omega=1.5))
+            with pytest.raises(ProtocolError, match="omega"):
+                cache.get(req)
+        assert len(cache) == 0
+        entry, _ = cache.get(parse_solve_request(solve_payload(omega=1.0)))
+        assert entry.session.plan.omega == 1.0
+
     def test_auto_m_resolves_to_concrete_parametrized_cell(self):
         cache = SessionCache(capacity=2, auto_width=8)
         entry, _ = cache.get(parse_solve_request(solve_payload(m="auto")))
