@@ -15,8 +15,9 @@ import pytest
 
 from repro.core import neumann_coefficients
 from repro.core.mstep import MStepPreconditioner
+from repro.core.pcg import pcg
 from repro.core.splittings import SSORSplitting
-from repro.driver import TABLE2_SCHEDULE, solve_mstep_ssor
+from repro.driver import TABLE2_SCHEDULE, mstep_coefficients
 from repro.multicolor import MStepSSOR
 
 from _common import cached_blocked, cached_interval, cached_plate
@@ -30,6 +31,20 @@ SWEEP_MESH = 20
 @pytest.fixture(params=["vectorized", "reference"])
 def backend(request):
     return request.param
+
+
+def splitting_pcg(problem, blocked, coefficients, backend, eps):
+    """m-step PCG over the SSOR splitting on ``backend`` (plain CG for
+    ``coefficients=None``), factorizing the splitting per call."""
+    precond = (
+        None
+        if coefficients is None
+        else MStepPreconditioner(
+            SSORSplitting(blocked.permuted, backend=backend), coefficients
+        )
+    )
+    f_mc = blocked.ordering.permute_vector(problem.f)
+    return pcg(blocked.permuted, f_mc, preconditioner=precond, eps=eps)
 
 
 def test_ssor_apply_p_inv(benchmark, backend):
@@ -65,13 +80,12 @@ def test_full_pcg(benchmark, backend):
     blocked = cached_blocked(SWEEP_MESH)
 
     def run():
-        return solve_mstep_ssor(
-            problem, 3, blocked=blocked, eps=1e-6,
-            applicator="splitting", backend=backend,
+        return splitting_pcg(
+            problem, blocked, neumann_coefficients(3), backend, 1e-6
         )
 
-    solve = benchmark(run)
-    assert solve.result.converged
+    result = benchmark(run)
+    assert result.converged
 
 
 def test_block_pcg_lockstep(benchmark):
@@ -119,13 +133,12 @@ def test_table2_schedule(benchmark, backend):
     def run():
         total = 0
         for m, parametrized in TABLE2_SCHEDULE:
-            solve = solve_mstep_ssor(
-                problem, m, parametrized=parametrized, interval=interval,
-                blocked=blocked, eps=1e-6,
-                applicator="splitting", backend=backend,
+            coeffs = (
+                mstep_coefficients(m, parametrized, interval) if m else None
             )
-            assert solve.result.converged
-            total += solve.iterations
+            result = splitting_pcg(problem, blocked, coeffs, backend, 1e-6)
+            assert result.converged
+            total += result.iterations
         return total
 
     total = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=1)

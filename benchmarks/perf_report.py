@@ -52,6 +52,7 @@ import scipy  # noqa: E402
 
 from repro import plate_problem  # noqa: E402
 from repro.core.mstep import MStepPreconditioner  # noqa: E402
+from repro.core.pcg import pcg  # noqa: E402
 from repro.core.polynomial import neumann_coefficients  # noqa: E402
 from repro.core.splittings import SSORSplitting  # noqa: E402
 from repro.driver import (  # noqa: E402
@@ -64,6 +65,7 @@ from repro.driver import (  # noqa: E402
 )
 from repro.kernels import BACKENDS, REFERENCE, VECTORIZED  # noqa: E402
 from repro.multicolor import MStepSSOR  # noqa: E402
+from repro.pipeline import cell_label  # noqa: E402
 
 #: Acceptance thresholds recorded alongside the measurements.
 TARGET_APPLY_P_INV_SPEEDUP = 5.0
@@ -179,17 +181,32 @@ def bench_mstep_apply(blocked, repeats: int) -> dict:
     return out
 
 
+def _splitting_pcg(problem, blocked, coefficients, backend: str, eps: float):
+    """m-step PCG over the SSOR splitting on one kernel backend.
+
+    The splitting is factorized inside the call, as a one-off solve pays
+    it; ``coefficients=None`` runs plain CG.
+    """
+    precond = (
+        None
+        if coefficients is None
+        else MStepPreconditioner(
+            SSORSplitting(blocked.permuted, backend=backend), coefficients
+        )
+    )
+    f_mc = blocked.ordering.permute_vector(np.asarray(problem.f, dtype=float))
+    return pcg(blocked.permuted, f_mc, preconditioner=precond, eps=eps)
+
+
 def bench_pcg(problem, blocked, repeats: int, eps: float) -> dict:
     """Full m-step PCG solve per backend (splitting applicator) + sweep."""
+    coeffs = neumann_coefficients(M_PCG)
     out = {}
     for backend in BACKENDS:
         def run(backend=backend):
-            solve = solve_mstep_ssor(
-                problem, M_PCG, blocked=blocked, eps=eps,
-                applicator="splitting", backend=backend,
-            )
-            assert solve.result.converged
-            return solve
+            result = _splitting_pcg(problem, blocked, coeffs, backend, eps)
+            assert result.converged
+            return result
 
         out[f"{backend}_s"] = _time_call(run, repeats)
 
@@ -214,13 +231,12 @@ def bench_table2_sweep(problem, blocked, repeats: int, eps: float) -> dict:
     def run_schedule(backend: str) -> None:
         cells = iterations.setdefault(backend, {})
         for m, parametrized in TABLE2_SCHEDULE:
-            solve = solve_mstep_ssor(
-                problem, m, parametrized=parametrized, interval=interval,
-                blocked=blocked, eps=eps,
-                applicator="splitting", backend=backend,
+            coeffs = (
+                mstep_coefficients(m, parametrized, interval) if m else None
             )
-            assert solve.result.converged
-            cells[solve.label] = solve.iterations
+            result = _splitting_pcg(problem, blocked, coeffs, backend, eps)
+            assert result.converged
+            cells[cell_label(m, parametrized)] = result.iterations
 
     out = {}
     for backend in BACKENDS:

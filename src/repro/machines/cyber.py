@@ -629,7 +629,7 @@ class CyberMachine:
             survivors: list[_ScheduleCellState] = []
             for st, kp in zip(active, kp_cols):
                 denom = st.vm.dot(st.p, kp)
-                if denom <= 0.0:
+                if not denom > 0.0:
                     st.iterations = iteration
                     st.converged = st.rho == 0.0
                     continue

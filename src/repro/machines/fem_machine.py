@@ -30,11 +30,12 @@ import numpy as np
 
 from repro.core.mstep import MStepPreconditioner
 from repro.core.splittings import SSORSplitting
-from repro.driver import build_blocked_system, build_mstep_applicator
+from repro.driver import build_blocked_system
 from repro.fem.model_problems import PlateProblem
 from repro.kernels import (
     matvec_accumulate,
     matvec_into,
+    resolve_backend,
     supports_matvec_block,
     xpay_into,
 )
@@ -115,11 +116,11 @@ class FiniteElementMachine:
             grid = ProcessorGrid.for_count(n_procs, problem.mesh)
             self.assignment = Assignment.rectangles(problem.mesh, grid)
         self.blocked = blocked if blocked is not None else build_blocked_system(problem)
-        # Shared splitting applicators of the batched schedule pass, one
-        # per kernel backend — factorized once per machine lifetime so
-        # repeated solve_schedule calls (e.g. through a SolverSession's
-        # cached machine) pay no rebuild.
-        self._schedule_applicators: dict = {}
+        # The machine's SSOR splittings, one per kernel backend —
+        # factorized once per machine lifetime and shared by solve and
+        # solve_schedule, so repeated solves (e.g. through a
+        # SolverSession's cached machine) pay no rebuild.
+        self._splittings: dict = {}
         self._precompute_static_costs()
 
     # -------------------------------------------------------- static costing
@@ -163,6 +164,21 @@ class FiniteElementMachine:
             self._fwd_words[(p, q)] = [2 * int(c) for c in per_color]
             # backward events: (Gv, Gu) then (Bv, Bu)
             self._bwd_words[(p, q)] = [2 * int(per_color[2]), 2 * int(per_color[1])]
+
+        # The two communicating units every solve's clock replays — the
+        # K·p border exchange and one merged preconditioner step — charged
+        # once against scratch logs as (seconds, records, words).
+        def unit(charge) -> tuple[float, int, int]:
+            log = CommLog(self.timing)
+            seconds = charge(log)
+            return seconds, log.total_records, log.total_words
+
+        self._exchange_charge = (
+            unit(lambda log: self._exchange_phase_time(self._kp_exchange_words, log))
+            if n_procs > 1
+            else (0.0, 0, 0)
+        )
+        self._step_charge = unit(self._precond_step_time)
 
     def _exchange_phase_time(
         self, words: dict[tuple[int, int], int], comm: CommLog | None
@@ -296,27 +312,18 @@ class FiniteElementMachine:
         eps: float = 1e-6,
         maxiter: int | None = None,
         label: str | None = None,
-        applicator: str = "splitting",
         backend: str | None = None,
-        preconditioner=None,
     ) -> FEMResult:
         """Run the method; numerics identical to the reference solver.
 
-        ``applicator``/``backend`` mirror
-        :func:`repro.driver.solve_mstep_ssor`: the default routes the
-        preconditioner through the kernel layer's cached
+        The preconditioner is the m-step Horner recurrence over the
+        machine's cached SSOR splitting (:meth:`_splitting`), whose
+        triangular solves dispatch on the kernel ``backend``: the cached
         :class:`~repro.kernels.ColorBlockTriangularSolver` sweeps
-        (``backend="vectorized"``), with ``backend="reference"`` the
-        row-sequential pin and ``applicator="sweep"`` the Conrad–Wallach
-        merged sweep.  The charged clock depends only on the iteration
-        count — which every path reproduces — so the cost model is
-        backend-invariant.
-
-        A prebuilt ``preconditioner`` (an object with ``apply``) skips the
-        per-solve applicator construction — the
-        :class:`~repro.pipeline.SolverSession` hands its compiled, cached
-        applicators in here so a whole Table-3 schedule shares one set of
-        factorized sweeps.
+        (``"vectorized"``, the default) or the row-sequential
+        ``"reference"`` pin.  The charged clock depends only on the
+        iteration count — which every backend reproduces — so the cost
+        model is backend-invariant.
         """
         require(m >= 0, "m must be non-negative")
         if m >= 1:
@@ -325,10 +332,9 @@ class FiniteElementMachine:
             )
             require(coefficients.size == m, "need one coefficient per step")
             parametrized = not np.allclose(coefficients, 1.0)
-            if preconditioner is None:
-                preconditioner = build_mstep_applicator(
-                    self.blocked, coefficients, applicator=applicator, backend=backend
-                )
+            preconditioner = MStepPreconditioner(
+                self._splitting(backend), coefficients
+            )
         else:
             parametrized = False
             preconditioner = None
@@ -371,7 +377,6 @@ class FiniteElementMachine:
         lockstep :meth:`solve_schedule`) lands on the bitwise-identical
         clock and communication ledger by construction.
         """
-        comm = CommLog(self.timing)
         compute_seconds = 0.0
         comm_seconds = 0.0
         reduction_seconds = 0.0
@@ -379,59 +384,46 @@ class FiniteElementMachine:
         t_flop = self.timing.flop_time
         n_procs = self.assignment.n_procs
         max_owned = max(self._owned)
-
-        def charge_exchange() -> float:
-            if n_procs <= 1:
-                return 0.0
-            return self._exchange_phase_time(self._kp_exchange_words, comm)
-
-        def charge_dot() -> tuple[float, float]:
-            partial = 2 * max_owned * t_flop
-            red = comm.add_reduction(n_procs, self.reduction)
-            return partial, red
-
+        exchange_s, exchange_records, exchange_words = self._exchange_charge
+        step_s, step_records, step_words = self._step_charge
         step_compute = self._precond_step_compute()
-
-        def charge_precond() -> tuple[float, float]:
-            """Returns (compute seconds, comm seconds) of one application."""
-            if not preconditioned:
-                return 0.0, 0.0
-            total_compute = total_comm = 0.0
-            for _ in range(m):
-                step_total = self._precond_step_time(comm)
-                total_compute += step_compute
-                total_comm += step_total - step_compute
-            return total_compute, total_comm
+        step_comm = step_s - step_compute
+        dot_partial = 2 * max_owned * t_flop
+        dot_reduction = self.timing.reduction_time(n_procs, self.reduction)
+        # One preconditioner application: m merged steps (none for CG).
+        precond_compute = precond_comm = 0.0
+        steps = m if preconditioned else 0
+        for _ in range(steps):
+            precond_compute += step_compute
+            precond_comm += step_comm
 
         # Startup: K u⁰, r⁰ = f − K u⁰, M r̃⁰ = r⁰, p⁰ = r̃⁰, ρ₀.
-        comm_seconds += charge_exchange()
+        exchanges = applications = 1
+        comm_seconds += exchange_s
         compute_seconds += max(self._matvec_flops) * t_flop
         compute_seconds += 2 * max_owned * t_flop  # r = f − K u
-        pc, pm = charge_precond()
-        compute_seconds += pc
-        comm_seconds += pm
-        partial, red = charge_dot()
-        compute_seconds += partial
-        reduction_seconds += red
+        compute_seconds += precond_compute
+        comm_seconds += precond_comm
+        compute_seconds += dot_partial
+        reduction_seconds += dot_reduction
 
         for it in range(1, iterations + 1):
             final = it == iterations and converged
-            comm_seconds += charge_exchange()
+            comm_seconds += exchange_s
+            exchanges += 1
             compute_seconds += max(self._matvec_flops) * t_flop  # K p
-            partial, red = charge_dot()  # (p, Kp)
-            compute_seconds += partial
-            reduction_seconds += red
+            compute_seconds += dot_partial  # (p, Kp)
+            reduction_seconds += dot_reduction
             compute_seconds += 3 * max_owned * t_flop  # u update + |Δu| pass
-            flag_seconds += comm.add_flag_sync()
+            flag_seconds += self.timing.flag_sync_time
             if final:
                 break
             compute_seconds += 2 * max_owned * t_flop  # r update
-            pc, pm = charge_precond()
-            compute_seconds += pc
-            comm_seconds += pm
-            partial, red = charge_dot()  # (r̃, r)
-            compute_seconds += partial
-            reduction_seconds += red
+            applications += 1
+            compute_seconds += precond_compute
+            comm_seconds += precond_comm
+            compute_seconds += dot_partial  # (r̃, r)
+            reduction_seconds += dot_reduction
             compute_seconds += 2 * max_owned * t_flop  # p update
 
         seconds = compute_seconds + comm_seconds + reduction_seconds + flag_seconds
@@ -449,25 +441,21 @@ class FiniteElementMachine:
             comm_seconds=comm_seconds,
             reduction_seconds=reduction_seconds,
             flag_seconds=flag_seconds,
-            total_records=comm.total_records,
-            total_words=comm.total_words,
+            total_records=exchanges * exchange_records
+            + applications * steps * step_records,
+            total_words=exchanges * exchange_words
+            + applications * steps * step_words,
             u_natural=u_natural,
         )
 
-
-    def _schedule_applicator(self, backend: str | None) -> MStepPreconditioner:
-        """The cached shared applicator of :meth:`solve_schedule`.
-
-        Every application overrides the coefficient schedule, so one
-        factorized SSOR splitting per backend serves any mix of cells and
-        any m.
-        """
-        if backend not in self._schedule_applicators:
-            self._schedule_applicators[backend] = MStepPreconditioner(
-                SSORSplitting(self.blocked.permuted, backend=backend),
-                np.ones(1),
+    def _splitting(self, backend: str | None) -> SSORSplitting:
+        """The machine's ω = 1 SSOR splitting on ``backend`` (cached)."""
+        backend = resolve_backend(backend)
+        if backend not in self._splittings:
+            self._splittings[backend] = SSORSplitting(
+                self.blocked.permuted, backend=backend
             )
-        return self._schedule_applicators[backend]
+        return self._splittings[backend]
 
     def solve_schedule(
         self,
@@ -520,14 +508,18 @@ class FiniteElementMachine:
                 group = None
             states.append(_FEMCellState(m, coefficients, parametrized, group))
 
-        # One shared splitting applicator — the realization solve() builds
-        # per cell — driven through the per-application coefficient
-        # override.  Cells of different m share a block application via
-        # top-zero-padded schedules (see MStepPreconditioner.apply); the
-        # applicator itself (the factorized SSOR splitting) is cached on
-        # the machine, so repeated schedule runs rebuild nothing.
+        # One shared applicator over the splitting solve() uses, driven
+        # through the per-application coefficient override.  Cells of
+        # different m share a block application via top-zero-padded
+        # schedules (see MStepPreconditioner.apply); the factorized
+        # splitting is cached on the machine, so repeated schedule runs
+        # rebuild nothing.
         max_m = max((st.m for st in states if st.group is not None), default=0)
-        precond = self._schedule_applicator(backend) if max_m >= 1 else None
+        precond = (
+            MStepPreconditioner(self._splitting(backend), np.ones(max_m))
+            if max_m >= 1
+            else None
+        )
         for st in states:
             if st.group is not None:
                 st.padded = np.zeros(max_m)
@@ -599,7 +591,7 @@ class FiniteElementMachine:
             survivors: list[_FEMCellState] = []
             for st, kp in zip(active, kp_cols):
                 denom = inner(st.p, kp)
-                if denom <= 0.0:
+                if not denom > 0.0:
                     st.iterations = iteration
                     st.converged = st.rho == 0.0
                     continue

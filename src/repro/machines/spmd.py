@@ -578,7 +578,7 @@ class SPMDSolver:
             survivors: list[_SPMDCellState] = []
             for st, kpd in zip(active, kpd_cols):
                 denom = self.dot(st.pd, kpd)
-                if denom <= 0.0:
+                if not denom > 0.0:
                     st.iterations = iteration
                     st.converged = st.rho == 0.0
                     continue

@@ -1,11 +1,11 @@
 """Solver plans: the declarative half of the plan → compile → execute pipeline.
 
 A :class:`SolverPlan` names *what* to run — the ``(m, parametrized)``
-schedule cells, the parametrization criterion, ω, the stopping tolerance,
-and which preconditioner realization/backend to use — without touching any
-problem.  :class:`~repro.pipeline.session.SolverSession` compiles a plan
-against one problem (coloring, blocked system, cached kernels) and then
-executes it for many cells and many right-hand sides.
+schedule cells, the parametrization criterion, the stopping tolerance and
+the solver backend — without touching any problem.
+:class:`~repro.pipeline.session.SolverSession` compiles a plan against one
+problem (coloring, blocked system, cached kernels) and then executes it
+for many cells and many right-hand sides.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.driver import TABLE2_SCHEDULE, TABLE3_SCHEDULE
-from repro.kernels.backend import STENCIL, resolve_solver_backend
+from repro.kernels.backend import resolve_solver_backend
 from repro.util import require
 
 __all__ = ["SolverPlan", "cell_label"]
@@ -41,17 +41,19 @@ class SolverPlan:
         Parametrization of the αᵢ (see
         :func:`repro.driver.mstep_coefficients`).
     omega:
-        SSOR relaxation parameter for the splitting/interval.  The merged
-        sweeps (``"sweep"``, the stencil sweep, the machine simulators)
-        are ω = 1 SSOR, so ω ≠ 1 needs ``applicator="splitting"`` and
-        then 0 < ω < 2.
-    applicator:
-        ``"sweep"`` (Conrad–Wallach merged sweeps) or ``"splitting"``
-        (kernel-dispatched m-step Horner over the SSOR splitting).
+        SSOR relaxation parameter; only ω = 1 is accepted.  Every
+        realization the pipeline serves — the Conrad–Wallach merged
+        sweep, the stencil sweep, the machine simulators — is the
+        paper's ω = 1 SSOR (§5).  The field stays so callers that name
+        ω explicitly (the serving daemon) keep working.
     backend:
-        Solver backend for the numerics (``None`` → process default,
-        ``"vectorized"``, ``"reference"``, or ``"stencil"`` — the
-        matrix-free operator path for the regular-mesh scenarios).
+        Solver backend (``None`` → ``"vectorized"``).  ``"vectorized"``
+        and ``"reference"`` solve the permuted CSR system with
+        :class:`~repro.multicolor.sor.MStepSSOR`; ``"reference"`` also
+        pins the machine simulators to their row-sequential kernels.
+        ``"stencil"`` is the matrix-free path for the regular-mesh
+        scenarios, preconditioned by
+        :class:`~repro.kernels.stencil.StencilSSOR`.
     maxiter:
         Outer-iteration cap (``None`` → solver default).
     block_rhs:
@@ -72,7 +74,6 @@ class SolverPlan:
     criterion: str = "least_squares"
     weight: str = "uniform"
     omega: float = 1.0
-    applicator: str = "sweep"
     backend: str | None = None
     maxiter: int | None = None
     block_rhs: int = 1
@@ -83,22 +84,11 @@ class SolverPlan:
         require(len(schedule) >= 1, "a plan needs at least one schedule cell")
         require(all(m >= 0 for m, _ in schedule), "m must be non-negative")
         require(self.eps > 0, "eps must be positive")
-        require(self.applicator in ("sweep", "splitting"),
-                "applicator must be 'sweep' or 'splitting'")
-        if self.applicator == "splitting":
-            require(0.0 < self.omega < 2.0, "SSOR needs 0 < omega < 2")
-        else:
-            require(
-                self.omega == 1.0,
-                "the merged sweeps are omega = 1 SSOR; omega != 1 needs "
-                "applicator='splitting'",
-            )
-        resolve_solver_backend(self.backend)  # raises listing valid choices
         require(
-            not (self.backend == STENCIL and self.applicator == "splitting"),
-            "the stencil backend runs the merged sweeps only; "
-            "use applicator='sweep' (or the default)",
+            self.omega == 1.0,
+            f"the solver runs omega = 1 SSOR; got omega = {self.omega!r}",
         )
+        resolve_solver_backend(self.backend)  # raises listing valid choices
         require(self.block_rhs >= 1, "block_rhs must be at least 1")
 
     # ------------------------------------------------------------- factories

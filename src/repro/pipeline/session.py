@@ -23,17 +23,18 @@ serves:
   Table-2 schedule through **one** simulator sweep
   (:meth:`repro.machines.cyber.CyberMachine.solve_schedule`);
 * :meth:`fem` / :meth:`fem_solve` / :meth:`run_fem_schedule` — Finite
-  Element Machine solves fed from the session's cached applicators,
-  including the batched Table-3 lockstep pass
+  Element Machine solves on the session's blocked system, including the
+  batched Table-3 lockstep pass
   (:meth:`repro.machines.fem_machine.FiniteElementMachine.solve_schedule`).
 
 Both solve methods are one code path over either operator representation.
-The effective backend picks a private representation object once per
-session — the permuted CSR blocked system, or the matrix-free stencil in
-natural ordering — which owns the operator, the permutation in and out,
-the applicator factory, the shard recipe and shard payload, and the
-``operator_backend`` label; the cell solve itself never asks which one
-it holds.
+The plan's backend picks one private representation object per session —
+the permuted CSR blocked system, or the matrix-free stencil in natural
+ordering — which owns the operator, the permutation in and out, its one
+preconditioner realization (:class:`~repro.multicolor.sor.MStepSSOR` or
+:class:`~repro.kernels.stencil.StencilSSOR`), the shard recipe and shard
+payload, and the ``operator_backend`` label; the cell solve itself never
+asks which one it holds.
 
 :attr:`stats` counts the compile-level artifacts (colorings, interval
 measurements, applicator factorizations, machine layouts) so tests can
@@ -53,7 +54,6 @@ from repro.core.pcg import BlockPCGResult, block_pcg, pcg
 from repro.driver import (
     MStepSolve,
     build_blocked_system,
-    build_mstep_applicator,
     mstep_coefficients,
     ssor_interval,
 )
@@ -62,6 +62,7 @@ from repro.kernels.backend import STENCIL
 from repro.kernels.stencil import StencilSSOR
 from repro.machines import CYBER_203, CyberMachine, FiniteElementMachine
 from repro.multicolor.blocked import BlockedMatrix
+from repro.multicolor.sor import MStepSSOR
 from repro.parallel import (
     ApplicatorRecipe,
     ShardSpec,
@@ -118,10 +119,10 @@ class _AssembledRepresentation:
     """The permuted CSR representation: the multicolor blocked system.
 
     Solves run on ``blocked.permuted``; right-hand sides are permuted in
-    and iterates permuted back out.  Workers of the sharded path rebuild
-    the plan's realization (merged sweep or kernel-dispatched splitting)
-    from a recipe plus the operator's CSR arrays, shipped through shared
-    memory when enabled.
+    and iterates permuted back out.  The realization is the Conrad–Wallach
+    merged sweep :class:`~repro.multicolor.sor.MStepSSOR`; workers of the
+    sharded path rebuild it from a recipe plus the operator's CSR arrays,
+    shipped through shared memory when enabled.
     """
 
     label = "csr"
@@ -136,31 +137,16 @@ class _AssembledRepresentation:
     def permute_out(self, U: np.ndarray) -> np.ndarray:
         return self.blocked.ordering.unpermute_vector(U)
 
-    def realization(self, plan: SolverPlan, applicator, backend):
-        """``(applicator, backend)`` names after the plan's defaults."""
-        return (
-            applicator if applicator is not None else plan.applicator,
-            backend if backend is not None else plan.backend,
-        )
+    def build_applicator(self, coefficients) -> MStepSSOR:
+        return MStepSSOR(self.blocked, coefficients)
 
-    def build_applicator(self, coefficients, applicator, backend, omega):
-        return build_mstep_applicator(
-            self.blocked, coefficients, applicator=applicator,
-            backend=backend, omega=omega,
-        )
-
-    def recipe(self, coefficients, applicator, backend, omega) -> ApplicatorRecipe:
-        if applicator == "sweep":
-            ordering = self.blocked.ordering
-            return ApplicatorRecipe(
-                kind="sweep",
-                coefficients=coefficients,
-                groups=np.sort(ordering.groups),
-                labels=tuple(ordering.labels),
-            )
+    def recipe(self, coefficients) -> ApplicatorRecipe:
+        ordering = self.blocked.ordering
         return ApplicatorRecipe(
-            kind="splitting", coefficients=coefficients, omega=omega,
-            backend=backend,
+            kind="sweep",
+            coefficients=coefficients,
+            groups=np.sort(ordering.groups),
+            labels=tuple(ordering.labels),
         )
 
     def shard_handle(self, tokens: set):
@@ -197,17 +183,10 @@ class _StencilRepresentation:
     def permute_out(self, U: np.ndarray) -> np.ndarray:
         return U
 
-    def realization(self, plan: SolverPlan, applicator, backend):
-        require(
-            applicator in (None, "sweep"),
-            "the stencil backend runs the merged sweeps only",
-        )
-        return "sweep", STENCIL
-
-    def build_applicator(self, coefficients, applicator, backend, omega):
+    def build_applicator(self, coefficients) -> StencilSSOR:
         return StencilSSOR(self.operator, coefficients)
 
-    def recipe(self, coefficients, applicator, backend, omega) -> ApplicatorRecipe:
+    def recipe(self, coefficients) -> ApplicatorRecipe:
         return ApplicatorRecipe(kind="stencil", coefficients=coefficients)
 
     def shard_handle(self, tokens: set):
@@ -305,7 +284,15 @@ class BlockMStepSolve:
 
 
 class SolverSession:
-    """One problem + one plan, compiled once, executed many times."""
+    """One problem + one plan, compiled once, executed many times.
+
+    Every solve runs the one preconditioner realization of the plan's
+    operator representation: :class:`~repro.multicolor.sor.MStepSSOR`
+    over :attr:`blocked` for the CSR backends (``"vectorized"``,
+    ``"reference"``), :class:`~repro.kernels.stencil.StencilSSOR` for
+    ``"stencil"``.  The ``"reference"`` backend additionally pins the
+    machine simulators to their row-sequential kernels.
+    """
 
     def __init__(
         self,
@@ -322,7 +309,7 @@ class SolverSession:
         self._coefficients: dict = {}
         self._applicators: dict = {}
         self._stencil = None
-        self._representations: dict = {}
+        self._rep = None
         self._machines: dict = {}
         self._compiled = False
         # Shared-memory operator tokens this session published; released
@@ -369,9 +356,7 @@ class SolverSession:
             if getattr(self.problem, "k", None) is None:
                 self._interval = stencil_interval(self.stencil())
             else:
-                self._interval = ssor_interval(
-                    self.blocked, omega=self.plan.omega
-                )
+                self._interval = ssor_interval(self.blocked)
             self.stats.intervals += 1
         return self._interval
 
@@ -400,78 +385,52 @@ class SolverSession:
             self.stats.coefficient_builds += 1
         return self._coefficients[key]
 
-    def _representation(self, backend: str | None = None, applicator=None):
-        """The operator representation the effective backend solves on.
+    def _representation(self):
+        """The operator representation the plan's backend solves on.
 
         ``"stencil"`` → the matrix-free operator in natural ordering;
-        anything else → the permuted CSR blocked system.  Each is built
-        once per session; ``applicator`` is validated against it.
+        anything else → the permuted CSR blocked system.  Built once per
+        session.
         """
-        backend = backend if backend is not None else self.plan.backend
-        kind = STENCIL if backend == STENCIL else "csr"
-        rep = self._representations.get(kind)
-        if rep is None:
-            rep = (
+        if self._rep is None:
+            self._rep = (
                 _StencilRepresentation(self.stencil())
-                if kind == STENCIL
+                if self.plan.backend == STENCIL
                 else _AssembledRepresentation(self.blocked)
             )
-            self._representations[kind] = rep
-        rep.realization(self.plan, applicator, backend)
-        return rep
+        return self._rep
 
-    def applicator(
-        self,
-        m: int,
-        parametrized: bool,
-        applicator: str | None = None,
-        backend: str | None = None,
-    ):
-        """The cell's compiled preconditioner realization (cached).
+    def applicator(self, m: int, parametrized: bool):
+        """The cell's compiled preconditioner (cached; None for m = 0).
 
-        On the assembled path the plan's (or the given) realization over
-        the permuted blocked system; on the ``"stencil"`` backend a
-        :class:`~repro.kernels.StencilSSOR` running the Conrad–Wallach
+        :class:`~repro.multicolor.sor.MStepSSOR` over the permuted
+        blocked system on the CSR backends; on the ``"stencil"`` backend
+        a :class:`~repro.kernels.StencilSSOR` running the Conrad–Wallach
         merged sweeps color-wise straight off the stencil — no factors,
         so "building" one is just binding coefficients to the operator.
         """
         if m == 0:
             return None
-        rep = self._representation(backend, applicator)
-        applicator, backend = rep.realization(self.plan, applicator, backend)
-        key = (m, parametrized, applicator, backend)
+        key = (m, parametrized)
         if key not in self._applicators:
-            self._applicators[key] = rep.build_applicator(
-                self.coefficients(m, parametrized), applicator, backend,
-                self.plan.omega,
+            self._applicators[key] = self._representation().build_applicator(
+                self.coefficients(m, parametrized)
             )
             self.stats.applicator_builds += 1
         return self._applicators[key]
 
-    def _shard_recipe(
-        self,
-        m: int,
-        parametrized: bool,
-        applicator: str | None = None,
-        backend: str | None = None,
-    ) -> ApplicatorRecipe:
+    def _shard_recipe(self, m: int, parametrized: bool) -> ApplicatorRecipe:
         """The cell's applicator as a picklable rebuild recipe.
 
-        Worker processes of the sharded block path reconstruct the exact
-        realization the plan names — the merged multicolor sweep, the
-        kernel-dispatched splitting or the stencil sweep — from this
-        description plus the shard's operator payload, through the same
-        constructors the serial path uses, so iterates stay bitwise
-        identical.
+        Worker processes of the sharded block path reconstruct the
+        session's realization — the merged multicolor sweep or the
+        stencil sweep — from this description plus the shard's operator
+        payload, through the same constructor the serial path uses, so
+        iterates stay bitwise identical.
         """
         if m == 0:
             return ApplicatorRecipe(kind="none")
-        rep = self._representation(backend, applicator)
-        applicator, backend = rep.realization(self.plan, applicator, backend)
-        return rep.recipe(
-            self.coefficients(m, parametrized), applicator, backend,
-            self.plan.omega,
-        )
+        return self._representation().recipe(self.coefficients(m, parametrized))
 
     def compile(self) -> "SolverSession":
         """Force every plan artifact now (idempotent).
@@ -491,12 +450,7 @@ class SolverSession:
         self._compiled = True
         return self
 
-    def prewarm_sharding(
-        self,
-        sharding,
-        applicator: str | None = None,
-        backend: str | None = None,
-    ) -> int:
+    def prewarm_sharding(self, sharding) -> int:
         """Pay the sharded path's one-time costs now, not on the first solve.
 
         Compiles the session, publishes the operator for the workers (the
@@ -517,12 +471,10 @@ class SolverSession:
         if workers <= 1:
             return 0
         self.compile()
-        rep = self._representation(backend, applicator)
+        rep = self._representation()
         recipes = {}
         for m, parametrized in self.plan.schedule:
-            recipe = self._shard_recipe(
-                m, parametrized, applicator=applicator, backend=backend
-            )
+            recipe = self._shard_recipe(m, parametrized)
             recipes.setdefault(shard_token(rep.operator, recipe), recipe)
         handle = rep.shard_handle(self._shm_tokens)
         empty = np.empty((0, 0))
@@ -592,8 +544,6 @@ class SolverSession:
         stopping: StoppingRule | None = None,
         maxiter: int | None = None,
         track_residual: bool = False,
-        applicator: str | None = None,
-        backend: str | None = None,
     ) -> MStepSolve:
         """One cell against the compiled state, for any right-hand side.
 
@@ -605,15 +555,13 @@ class SolverSession:
         the operator, the applicator and the permutation in and out.
         """
         require(m >= 0, "m must be non-negative")
-        rep = self._representation(backend, applicator)
+        rep = self._representation()
         f = self.problem.f if f is None else f
         coefficients, interval = self._cell(m, parametrized)
         result = pcg(
             rep.operator,
             rep.permute_in(np.asarray(f, dtype=float)),
-            preconditioner=self.applicator(
-                m, parametrized, applicator=applicator, backend=backend
-            ),
+            preconditioner=self.applicator(m, parametrized),
             eps=eps if eps is not None else self.plan.eps,
             stopping=stopping,
             maxiter=maxiter if maxiter is not None else self.plan.maxiter,
@@ -640,8 +588,6 @@ class SolverSession:
         stopping: StoppingRule | None = None,
         maxiter: int | None = None,
         track_residual: bool = False,
-        applicator: str | None = None,
-        backend: str | None = None,
         sharding=None,
     ) -> BlockMStepSolve:
         """One cell against an ``(n, k)`` block of right-hand sides.
@@ -669,7 +615,7 @@ class SolverSession:
         is exactly the serial lockstep.
         """
         require(m >= 0, "m must be non-negative")
-        rep = self._representation(backend, applicator)
+        rep = self._representation()
         if F is None:
             F = np.asarray(self.problem.f, dtype=float)[:, None]
         F = np.asarray(F, dtype=float)
@@ -689,9 +635,7 @@ class SolverSession:
             result = sharded_block_pcg(
                 rep.operator,
                 F,
-                recipe=self._shard_recipe(
-                    m, parametrized, applicator=applicator, backend=backend
-                ),
+                recipe=self._shard_recipe(m, parametrized),
                 workers=workers,
                 group=group,
                 eps=eps_value,
@@ -708,9 +652,7 @@ class SolverSession:
             result = block_pcg(
                 rep.operator,
                 F,
-                preconditioner=self.applicator(
-                    m, parametrized, applicator=applicator, backend=backend
-                ),
+                preconditioner=self.applicator(m, parametrized),
                 eps=eps_value,
                 stopping=stopping,
                 maxiter=maxiter_value,
@@ -778,24 +720,13 @@ class SolverSession:
     # ------------------------------------------------------------------ machines
     def schedule_cells(self) -> list[tuple[int, np.ndarray | None]]:
         """The plan's cells as ``(m, coefficients)`` pairs for the machines."""
-        self._require_unit_omega()
         return [
             (m, self.coefficients(m, parametrized))
             for m, parametrized in self.plan.schedule
         ]
 
-    def _require_unit_omega(self) -> None:
-        """The machine simulators run ω = 1 SSOR sweeps; refuse α's fitted
-        on any other ω's interval rather than silently mismatch them."""
-        require(
-            self.plan.omega == 1.0,
-            "the machine simulators are omega = 1 SSOR; "
-            f"this plan has omega = {self.plan.omega!r}",
-        )
-
     def cyber(self, timing=None) -> CyberMachine:
         """The CYBER simulator for this problem (laid out once, cached)."""
-        self._require_unit_omega()
         timing = timing if timing is not None else CYBER_203
         key = ("cyber", timing)
         if key not in self._machines:
@@ -877,12 +808,11 @@ class SolverSession:
         ``batched=False`` (or a ``"reference"`` plan backend) keeps the
         cell-at-a-time pass for pinning.
 
-        Both passes use the FEM solve path's ``"splitting"`` applicator
-        realization regardless of the plan's ``applicator`` (as
-        :meth:`fem_solve` does — it is the machine's native path, and
-        all realizations apply the same operator); the batched pass's
-        factorized splitting is cached on the machine, which the session
-        itself caches, so repeated schedule runs rebuild nothing.
+        Both passes precondition through the machine's own SSOR
+        splitting (the FEM machine owns that realization, as
+        :meth:`fem_solve` does); it is factorized once per machine, which
+        the session itself caches, so repeated schedule runs rebuild
+        nothing.
 
         ``workers > 1`` fans the cells across worker processes — the FEM
         analogue of :meth:`run_cyber_schedule`'s sharded pass, every
@@ -924,7 +854,6 @@ class SolverSession:
 
     def fem(self, n_procs: int = 1, **kwargs) -> FiniteElementMachine:
         """A Finite Element Machine sharing the session's blocked system."""
-        self._require_unit_omega()
         key = ("fem", n_procs, tuple(sorted(kwargs.items())))
         if key not in self._machines:
             self._machines[key] = FiniteElementMachine(
@@ -941,22 +870,15 @@ class SolverSession:
         eps: float | None = None,
         **kwargs,
     ):
-        """One FEM-simulator cell using the session's cached applicator.
+        """One FEM-simulator cell with the session's coefficients.
 
-        The machine's own per-solve applicator construction is skipped —
-        the compiled ``"splitting"`` applicator (the FEM solve path's
-        default realization) is handed straight in.
+        The machine (cached per layout) preconditions through its own
+        cached SSOR splitting on the plan's kernel backend.
         """
-        machine = self.fem(n_procs, **kwargs)
-        preconditioner = (
-            self.applicator(m, parametrized, applicator="splitting")
-            if m >= 1
-            else None
-        )
         self.stats.solves += 1
-        return machine.solve(
+        return self.fem(n_procs, **kwargs).solve(
             m,
             self.coefficients(m, parametrized),
             eps=eps if eps is not None else self.plan.eps,
-            preconditioner=preconditioner,
+            backend=self.plan.backend,
         )

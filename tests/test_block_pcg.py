@@ -12,12 +12,23 @@ import numpy as np
 import pytest
 
 from repro import plate_problem
-from repro.core.mstep import IdentityPreconditioner
+from repro.core.mstep import IdentityPreconditioner, MStepPreconditioner
 from repro.core.pcg import BlockPCGResult, block_pcg, cg, pcg
-from repro.driver import build_blocked_system, build_mstep_applicator
+from repro.core.splittings import SSORSplitting
+from repro.driver import build_blocked_system
 from repro.core.polynomial import neumann_coefficients
+from repro.multicolor import MStepSSOR
 
 EPS = 1e-7
+
+#: The two realizations of the m-step SSOR operator: the merged sweep the
+#: solve pipeline serves, and the general splitting Horner of Section 2.
+REALIZATIONS = {
+    "sweep": lambda blocked, coeffs: MStepSSOR(blocked, coeffs),
+    "splitting": lambda blocked, coeffs: MStepPreconditioner(
+        SSORSplitting(blocked.permuted), coeffs
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -44,25 +55,21 @@ def _assert_column_matches(col, solo):
 
 
 class TestBitwiseAgainstIndependentRuns:
-    @pytest.mark.parametrize("applicator", ["sweep", "splitting"])
+    @pytest.mark.parametrize("applicator", list(REALIZATIONS))
     def test_preconditioned_block_matches_solo_runs(self, system, applicator):
         _, blocked = system
         coeffs = neumann_coefficients(3)
         F = _rhs_block(blocked)
         block = block_pcg(
             blocked.permuted, F,
-            preconditioner=build_mstep_applicator(
-                blocked, coeffs, applicator=applicator
-            ),
+            preconditioner=REALIZATIONS[applicator](blocked, coeffs),
             eps=EPS,
         )
         assert block.all_converged
         for j in range(F.shape[1]):
             solo = pcg(
                 blocked.permuted, np.ascontiguousarray(F[:, j]),
-                preconditioner=build_mstep_applicator(
-                    blocked, coeffs, applicator=applicator
-                ),
+                preconditioner=REALIZATIONS[applicator](blocked, coeffs),
                 eps=EPS,
             )
             _assert_column_matches(block.column(j), solo)
@@ -88,7 +95,7 @@ class TestBitwiseAgainstIndependentRuns:
         )
         block = block_pcg(
             blocked.permuted, F,
-            preconditioner=build_mstep_applicator(
+            preconditioner=MStepSSOR(
                 blocked, neumann_coefficients(2)
             ),
             eps=EPS,
@@ -97,7 +104,7 @@ class TestBitwiseAgainstIndependentRuns:
         for j in range(3):
             solo = pcg(
                 blocked.permuted, np.ascontiguousarray(F[:, j]),
-                preconditioner=build_mstep_applicator(
+                preconditioner=MStepSSOR(
                     blocked, neumann_coefficients(2)
                 ),
                 eps=EPS,
@@ -141,12 +148,12 @@ class TestRetirementEdgeCases:
                     calls["solo"].append((it, u.copy(), delta))
             block = block_pcg(
                 operator, f[:, None],
-                preconditioner=build_mstep_applicator(blocked, coeffs),
+                preconditioner=MStepSSOR(blocked, coeffs),
                 callback=block_cb, **kwargs,
             )
             solo = pcg(
                 operator, f,
-                preconditioner=build_mstep_applicator(blocked, coeffs),
+                preconditioner=MStepSSOR(blocked, coeffs),
                 callback=solo_cb, **kwargs,
             )
             assert block.k == 1
@@ -172,7 +179,7 @@ class TestRetirementEdgeCases:
         )
         block = block_pcg(
             blocked.permuted, F,
-            preconditioner=build_mstep_applicator(
+            preconditioner=MStepSSOR(
                 blocked, neumann_coefficients(2)
             ),
             eps=EPS,
@@ -183,7 +190,7 @@ class TestRetirementEdgeCases:
         for j in range(2):
             solo = pcg(
                 blocked.permuted, np.ascontiguousarray(F[:, j]),
-                preconditioner=build_mstep_applicator(
+                preconditioner=MStepSSOR(
                     blocked, neumann_coefficients(2)
                 ),
                 eps=EPS,
@@ -193,7 +200,7 @@ class TestRetirementEdgeCases:
     def test_fortran_ordered_and_strided_inputs(self, system):
         _, blocked = system
         F = _rhs_block(blocked, ncols=3, seed=7)
-        precond = lambda: build_mstep_applicator(  # noqa: E731
+        precond = lambda: MStepSSOR(  # noqa: E731
             blocked, neumann_coefficients(2)
         )
         reference = block_pcg(blocked.permuted, F, preconditioner=precond(),
@@ -306,7 +313,7 @@ class TestNonFiniteInput:
     def test_nan_rhs_stops_within_one_iteration(self, system):
         _, blocked = system
         f = np.full(blocked.n, np.nan)
-        for precond in (None, build_mstep_applicator(blocked, neumann_coefficients(2))):
+        for precond in (None, MStepSSOR(blocked, neumann_coefficients(2))):
             result = pcg(blocked.permuted, f, preconditioner=precond, eps=EPS)
             assert result.iterations <= 1
             assert not result.converged
@@ -316,7 +323,7 @@ class TestNonFiniteInput:
         F = _rhs_block(blocked, ncols=3, seed=41)
         poisoned = F.copy()
         poisoned[5, 1] = np.nan
-        precond = lambda: build_mstep_applicator(  # noqa: E731
+        precond = lambda: MStepSSOR(  # noqa: E731
             blocked, neumann_coefficients(2)
         )
         clean = block_pcg(blocked.permuted, F, preconditioner=precond(), eps=EPS)

@@ -29,7 +29,6 @@ from repro.driver import (
     TABLE3_SCHEDULE,
     build_blocked_system,
     mstep_coefficients,
-    solve_mstep_ssor,
     ssor_interval,
 )
 from repro.kernels import (
@@ -40,13 +39,10 @@ from repro.kernels import (
     FactorizedTriangularSolver,
     ReferenceTriangularSolver,
     WorkspacePool,
-    default_backend,
     detect_color_slices,
     make_triangular_solver,
     ops,
     resolve_backend,
-    set_default_backend,
-    use_backend,
 )
 from repro.multicolor import MStepSSOR
 
@@ -77,33 +73,24 @@ def rng_vector(n, seed=0):
     return np.random.default_rng(seed).normal(size=n)
 
 
+def splitting_solve(problem, blocked, coeffs, backend=None, eps=1e-8):
+    """m-step PCG over the SSOR splitting on ``backend``, permuted system."""
+    precond = MStepPreconditioner(
+        SSORSplitting(blocked.permuted, backend=backend), coeffs
+    )
+    f = blocked.ordering.permute_vector(problem.f)
+    return pcg(blocked.permuted, f, preconditioner=precond, eps=eps)
+
+
 # --------------------------------------------------------------------------
 class TestBackendDispatch:
     def test_default_is_vectorized(self):
-        assert default_backend() == VECTORIZED
+        assert resolve_backend(None) == VECTORIZED
+        assert SSORSplitting(sp.identity(3, format="csr") * 2.0).backend == VECTORIZED
 
     def test_resolve_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
             resolve_backend("fortran")
-
-    def test_use_backend_restores(self):
-        with use_backend(REFERENCE):
-            assert default_backend() == REFERENCE
-            assert resolve_backend(None) == REFERENCE
-        assert default_backend() == VECTORIZED
-
-    def test_use_backend_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with use_backend(REFERENCE):
-                raise RuntimeError("boom")
-        assert default_backend() == VECTORIZED
-
-    def test_set_default_backend(self):
-        set_default_backend(REFERENCE)
-        try:
-            assert SSORSplitting(sp.identity(3, format="csr") * 2.0).backend == REFERENCE
-        finally:
-            set_default_backend(VECTORIZED)
 
 
 # --------------------------------------------------------------------------
@@ -244,17 +231,14 @@ class TestScheduleBackendEquivalence:
 
     @pytest.mark.parametrize("m,parametrized", SCHEDULE_CELLS)
     def test_full_solve_equivalent(self, m, parametrized, problem, blocked, interval):
+        coeffs = mstep_coefficients(m, parametrized, interval)
         solves = {
-            backend: solve_mstep_ssor(
-                problem, m, parametrized=parametrized, interval=interval,
-                blocked=blocked, eps=1e-8,
-                applicator="splitting", backend=backend,
-            )
+            backend: splitting_solve(problem, blocked, coeffs, backend)
             for backend in BACKENDS
         }
         fast, pin = solves[VECTORIZED], solves[REFERENCE]
         assert fast.iterations == pin.iterations
-        assert fast.result.converged and pin.result.converged
+        assert fast.converged and pin.converged
         assert np.max(np.abs(fast.u - pin.u)) <= 1e-10 * max(np.max(np.abs(pin.u)), 1.0)
 
 
@@ -263,16 +247,13 @@ class TestCounterInvariance:
     """The fast path must not change what the instrumentation reports."""
 
     def test_solve_counters_identical_across_backends(self, problem, blocked, interval):
+        coeffs = mstep_coefficients(3, True, interval)
         counters = {}
         histories = {}
         for backend in BACKENDS:
-            solve = solve_mstep_ssor(
-                problem, 3, parametrized=True, interval=interval,
-                blocked=blocked, eps=1e-8,
-                applicator="splitting", backend=backend,
-            )
-            counters[backend] = solve.result.counter.as_dict()
-            histories[backend] = solve.result.delta_history
+            result = splitting_solve(problem, blocked, coeffs, backend)
+            counters[backend] = result.counter.as_dict()
+            histories[backend] = result.delta_history
         assert counters[VECTORIZED] == counters[REFERENCE]
         assert len(histories[VECTORIZED]) == len(histories[REFERENCE])
 
@@ -343,10 +324,11 @@ class TestICPreconditionerKernels:
 # --------------------------------------------------------------------------
 class TestPCGInPlaceKernels:
     def test_pcg_matches_direct_solve(self, problem, blocked, interval):
-        solve = solve_mstep_ssor(
-            problem, 2, blocked=blocked, eps=1e-10, applicator="splitting"
+        result = splitting_solve(
+            problem, blocked, neumann_coefficients(2), eps=1e-10
         )
-        residual = problem.k @ solve.u - problem.f
+        u = blocked.ordering.unpermute_vector(result.u)
+        residual = problem.k @ u - problem.f
         assert np.max(np.abs(residual)) <= 1e-6 * max(np.max(np.abs(problem.f)), 1.0)
 
     def test_plain_cg_counter_shape_unchanged(self, problem):

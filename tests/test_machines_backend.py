@@ -2,7 +2,7 @@
 
 The ISSUE-2 contract: the CYBER and FEM simulators route their
 preconditioning through the kernel layer's cached color-block sweeps, with
-a ``backend=`` knob mirroring :func:`repro.driver.solve_mstep_ssor` — and
+a ``backend=`` knob — and
 the ``"vectorized"`` and ``"reference"`` paths produce *identical* results
 (iterates to ≤1e−12, operation counters and modeled seconds exactly)
 across every (m, parametrized) cell of the paper's Table-2/3 schedules.
@@ -16,6 +16,9 @@ import numpy as np
 import pytest
 
 from repro import plate_problem
+from repro.core.mstep import MStepPreconditioner
+from repro.core.pcg import pcg
+from repro.core.splittings import SSORSplitting
 from repro.driver import (
     TABLE2_SCHEDULE,
     TABLE3_SCHEDULE,
@@ -219,15 +222,29 @@ class TestFEMBackendEquivalence:
     def test_sweep_applicator_reproduces_iterations(
         self, fem_machines, fem_interval
     ):
-        # The pre-kernel path (Conrad–Wallach merged sweeps) stays available
-        # and lands on the same iteration counts — the quantity the cost
-        # model charges.
+        # The machine owns the splitting realization: on either kernel
+        # backend its iterate is bitwise a direct splitting PCG, and the
+        # merged sweep the solve pipeline serves lands on the same
+        # iteration count — the quantity the cost model charges.
         coeffs = mstep_coefficients(3, True, fem_interval)
-        for p, machine in fem_machines.items():
-            kernel = machine.solve(3, coeffs)
-            sweep = machine.solve(3, coeffs, applicator="sweep")
-            assert sweep.iterations == kernel.iterations
-            assert sweep.seconds == kernel.seconds
+        for machine in fem_machines.values():
+            blocked = machine.blocked
+            f = blocked.ordering.permute_vector(machine.problem.f)
+            sweep = pcg(
+                blocked.permuted, f, preconditioner=MStepSSOR(blocked, coeffs)
+            )
+            for backend in BACKENDS:
+                result = machine.solve(3, coeffs, backend=backend)
+                direct = pcg(
+                    blocked.permuted, f,
+                    preconditioner=MStepPreconditioner(
+                        SSORSplitting(blocked.permuted, backend=backend), coeffs
+                    ),
+                )
+                assert result.iterations == direct.iterations == sweep.iterations
+                assert np.array_equal(
+                    result.u_natural, blocked.ordering.unpermute_vector(direct.u)
+                )
 
 
 class TestFEMBlockCostModel:

@@ -197,3 +197,37 @@ class TestSPMDSolveSchedule:
         assert batched.iterations == solo.iterations
         assert np.array_equal(batched.u_natural, solo.u_natural)
         assert batched.ledger.words_by_kind == solo.ledger.words_by_kind
+
+
+class TestNonFiniteSchedule:
+    """A non-finite pᵀKp stops the cell, as in ``block_pcg``: the batched
+    passes keep the per-cell contract for a NaN α schedule too."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        return build_scenario("plate", nrows=6)
+
+    CELLS = [(2, np.array([np.nan, 1.0])), (2, np.ones(2))]
+
+    def test_fem_schedule_matches_solve(self, problem):
+        machine = FiniteElementMachine(problem, 1)
+        solo = machine.solve(*self.CELLS[0], eps=EPS)
+        batched = machine.solve_schedule(self.CELLS, eps=EPS)
+        assert batched[0].iterations == solo.iterations == 1
+        assert not batched[0].converged and not solo.converged
+        assert batched[0].seconds == solo.seconds
+        # The healthy cell sharing the pass is untouched.
+        assert batched[1].converged
+        assert batched[1].iterations == machine.solve(*self.CELLS[1]).iterations
+
+    def test_every_simulator_stops_unconverged(self, problem):
+        from repro.machines import CyberMachine
+
+        grid = ProcessorGrid.for_count(4, problem.mesh)
+        spmd = SPMDSolver(problem, Assignment.rectangles(problem.mesh, grid))
+        for machine in (
+            FiniteElementMachine(problem, 1), CyberMachine(problem), spmd,
+        ):
+            result = machine.solve_schedule(self.CELLS[:1], eps=EPS)[0]
+            assert result.iterations == 1, type(machine).__name__
+            assert not result.converged

@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 from repro.driver import TABLE2_SCHEDULE, solve_mstep_ssor
-from repro.kernels import REFERENCE, VECTORIZED
+from repro.kernels import REFERENCE, STENCIL, VECTORIZED, StencilSSOR
 from repro.machines import VectorMachine
+from repro.multicolor import MStepSSOR
 from repro.multicolor.coloring import validate_groups
 from repro.pipeline import (
     SolverPlan,
@@ -150,20 +151,31 @@ class TestSolverPlan:
         with pytest.raises(ValueError):
             SolverPlan(schedule=[(-1, False)])
         with pytest.raises(ValueError):
-            SolverPlan(schedule=[(1, False)], applicator="magic")
+            SolverPlan(schedule=[(1, False)], backend="magic")
 
-    def test_omega_needs_the_splitting_applicator(self):
-        # The merged sweeps are ω = 1 SSOR: an α fitted on another ω's
-        # interval would be silently mismatched to the operator applied.
-        for backend in (None, REFERENCE, "stencil"):
-            with pytest.raises(ValueError, match="applicator='splitting'"):
-                SolverPlan.single(3, True, omega=1.5, backend=backend)
-        for omega in (0.0, -0.5, 2.0, 2.5):
-            with pytest.raises(ValueError, match="0 < omega < 2"):
-                SolverPlan.single(3, True, omega=omega, applicator="splitting")
-        relaxed = SolverPlan.single(3, True, omega=1.5, applicator="splitting")
-        assert relaxed.omega == 1.5
+    def test_one_realization_per_representation(self):
+        # Every served realization is ω = 1 SSOR (Adams §5): an α fitted
+        # on another ω's interval would mismatch the operator applied.
+        for backend in (None, REFERENCE, STENCIL):
+            for omega in (0.5, 1.5):
+                with pytest.raises(ValueError, match="omega = 1"):
+                    SolverPlan.single(3, True, omega=omega, backend=backend)
         assert SolverPlan.single(3, True).omega == 1.0
+        # CSR backends serve the merged sweep, the stencil its twin.
+        expected = {
+            None: (MStepSSOR, "sweep"),
+            VECTORIZED: (MStepSSOR, "sweep"),
+            REFERENCE: (MStepSSOR, "sweep"),
+            STENCIL: (StencilSSOR, "stencil"),
+        }
+        for backend, (cls, kind) in expected.items():
+            session = SolverSession.from_scenario(
+                "poisson", plan=SolverPlan.single(2, True, backend=backend),
+                n_grid=8,
+            )
+            assert type(session.applicator(2, True)) is cls
+            assert session._shard_recipe(2, True).kind == kind
+            assert session.applicator(0, False) is None
 
     def test_with_overrides(self):
         plan = SolverPlan.table2().with_(eps=1e-9, backend=REFERENCE)
@@ -236,34 +248,32 @@ class TestSessionMachines:
         assert session.stats.machine_builds == 3
 
     def test_machines_require_unit_omega(self):
-        # The simulators replay ω = 1 sweeps; a relaxed splitting plan's α's
-        # are fitted for another operator, so every machine path refuses.
-        plan = SolverPlan.table3(omega=1.5, applicator="splitting")
-        session = SolverSession.from_scenario("plate", plan=plan, nrows=6)
-        calls = [
-            session.cyber,
-            lambda: session.fem(1),
-            lambda: session.fem_solve(3, True),
-            session.run_cyber_schedule,
-            lambda: session.run_cyber_schedule(workers=2),
-            session.run_fem_schedule,
-            lambda: session.run_fem_schedule(batched=False),
-        ]
-        for call in calls:
+        # The simulators replay ω = 1 sweeps, and a plan is ω = 1 or is
+        # not built at all: no α fitted for another operator reaches them.
+        for factory in (SolverPlan.table2, SolverPlan.table3):
             with pytest.raises(ValueError, match="omega = 1"):
-                call()
-        assert session.stats.machine_builds == 0
-        # The splitting path itself serves the relaxed plan.
-        assert session.solve_cell(3, True).result.converged
+                factory(omega=1.5)
+        session = SolverSession.from_scenario(
+            "plate", plan=SolverPlan.table3(omega=1.0), nrows=6
+        )
+        assert session.fem_solve(3, True).converged
+        assert session.cyber().solve(3, session.coefficients(3, True)).converged
 
     def test_fem_solve_uses_cached_applicator(self):
+        # fem_solve is the machine's own solve: its SSOR splitting is
+        # factorized once per machine and shared by later solves and the
+        # batched schedule pass; the session builds no applicator for it.
         session = SolverSession.from_scenario(
             "plate", plan=SolverPlan.table3(), nrows=6
         )
         first = session.fem_solve(3, True, n_procs=5)
-        builds = session.stats.applicator_builds
+        machine = session.fem(5)
+        splitting = machine._splitting(None)
         second = session.fem_solve(3, True, n_procs=5)
-        assert session.stats.applicator_builds == builds  # reused
+        machine.solve_schedule(session.schedule_cells())
+        assert machine._splitting(None) is splitting
+        assert len(machine._splittings) == 1
+        assert session.stats.applicator_builds == 0
         assert first.iterations == second.iterations
         assert first.seconds == second.seconds
 

@@ -568,7 +568,8 @@ def test_invalid_backend_lists_choices():
 
 
 def test_stencil_plan_rejects_splitting_applicator():
-    with pytest.raises(ValueError, match="merged sweeps only"):
+    # A plan names no realization: the stencil serves StencilSSOR only.
+    with pytest.raises(TypeError, match="applicator"):
         SolverPlan.single(2, backend="stencil", applicator="splitting")
 
 
