@@ -8,8 +8,24 @@ symmetric splitting exposes, so its spectrum is computed stably:
 * dense path (small n): generalized symmetric eigenproblem
   ``K v = λ P v`` via ``scipy.linalg.eigh``;
 * iterative path (large n): Lanczos (``eigsh``) on ``S`` for ``λ_n``, and on
-  ``S⁻¹ = Wᵀ K⁻¹ W`` (one sparse LU of K) for ``1/λ₁`` — both extreme-end
-  computations, where Lanczos converges quickly.
+  ``S⁻¹ = Wᵀ K⁻¹ W`` (one sparse LU of K) for ``1/λ₁``.  Every Lanczos run
+  starts from the fixed vector of ones, so an interval is a function of
+  the operator alone — not of the ARPACK state earlier solves left behind.
+
+For the paper's ω = 1 SSOR splitting the upper end needs no computation:
+``λ_n = 1`` exactly (:func:`repro.driver.ssor_interval` returns it and
+estimates only ``λ₁`` with :func:`smallest_eigenvalue`).  With
+``K = D − L − Lᵀ`` and ``P = (D − L) D⁻¹ (D − Lᵀ)``:
+
+* ``P − K = L D⁻¹ Lᵀ ⪰ 0``, so ``P ⪰ K`` and every eigenvalue is ≤ 1;
+* ``Lᵀ`` is strictly upper triangular, so ``Lᵀ e₁ = 0`` (under a
+  multicolor ordering the whole first color block lies in ``null(Lᵀ)``):
+  ``P e₁ = K e₁`` and 1 is attained.
+
+Lanczos would otherwise crawl towards that eigenvalue — it sits in a
+cluster of multiplicity about ``n/colors`` — and still stop short of it.
+Jacobi, Richardson and ω ≠ 1 SSOR have ``λ_n < 1``; they keep the
+two-ended :func:`spectrum_interval`.
 
 Because the preconditioned operator ``M_m⁻¹K`` is a fixed polynomial ``q``
 of ``P⁻¹K``, its spectrum — and hence κ(M_m⁻¹K), the quantity Adams (1982)
@@ -29,6 +45,7 @@ from repro.util import require
 
 __all__ = [
     "spectrum_interval",
+    "smallest_eigenvalue",
     "power_interval",
     "full_splitting_spectrum",
     "condition_number",
@@ -102,6 +119,30 @@ class _WFactor:
         return self._splitting.apply_w_inv(self._p @ x)
 
 
+def _largest_eigenvalue(operator: spla.LinearOperator, tol: float) -> float:
+    """Top eigenvalue of a symmetric operator by Lanczos from a fixed start."""
+    v0 = np.ones(operator.shape[0])
+    return float(
+        spla.eigsh(
+            operator, k=1, which="LA", return_eigenvectors=False, tol=tol, v0=v0
+        )[0]
+    )
+
+
+def smallest_eigenvalue(splitting: Splitting, tol: float = 1e-7) -> float:
+    """``λ₁`` of ``P⁻¹K``: dense ``eigh`` for small n, else Lanczos on ``S⁻¹``.
+
+    ``1/λ₁`` is the well-separated top of ``S⁻¹ = Wᵀ K⁻¹ W``, so Lanczos
+    converges in a few dozen applications after one sparse LU of K.
+    """
+    require(splitting.symmetric, "spectrum interval needs a symmetric splitting")
+    if splitting.n <= _DENSE_LIMIT:
+        k = splitting.k.toarray()
+        p = splitting.p_matrix().toarray()
+        return float(sla.eigh(k, p, eigvals_only=True, subset_by_index=[0, 0])[0])
+    return 1.0 / _largest_eigenvalue(_inverse_operator(splitting), tol)
+
+
 def spectrum_interval(
     splitting: Splitting,
     tol: float = 1e-7,
@@ -109,25 +150,20 @@ def spectrum_interval(
 ) -> tuple[float, float]:
     """``(λ₁, λ_n)`` of ``P⁻¹K``, optionally widened by ``safety`` (relative).
 
-    A small ``safety`` (e.g. 0.02) widens the interval used for polynomial
-    fitting so that Lanczos under-estimation of the extremes cannot place an
-    eigenvalue outside it (which could cost positivity of ``q``).
+    Both ends are computed, for any symmetric splitting; ω = 1 SSOR, whose
+    upper end is exactly 1, has the cheaper
+    :func:`repro.driver.ssor_interval`.  A small ``safety`` (e.g. 0.02)
+    widens the interval used for polynomial fitting so that Lanczos
+    under-estimation of the extremes cannot place an eigenvalue outside it
+    (which could cost positivity of ``q``).
     """
     require(splitting.symmetric, "spectrum interval needs a symmetric splitting")
-    n = splitting.n
-    if n <= _DENSE_LIMIT:
+    if splitting.n <= _DENSE_LIMIT:
         eigs = full_splitting_spectrum(splitting)
         lo, hi = float(eigs[0]), float(eigs[-1])
     else:
-        s = _symmetric_operator(splitting)
-        hi = float(
-            spla.eigsh(s, k=1, which="LA", return_eigenvectors=False, tol=tol)[0]
-        )
-        s_inv = _inverse_operator(splitting)
-        inv_max = float(
-            spla.eigsh(s_inv, k=1, which="LA", return_eigenvectors=False, tol=tol)[0]
-        )
-        lo = 1.0 / inv_max
+        hi = _largest_eigenvalue(_symmetric_operator(splitting), tol)
+        lo = smallest_eigenvalue(splitting, tol)
     if safety:
         span = hi - lo
         lo = max(lo - safety * span, 0.0 if lo >= 0.0 else lo * (1 + safety))

@@ -2,7 +2,7 @@
 
 Ties the layers together the way Section 3 describes: color the problem,
 permute into the block form (3.1), build the m-step SSOR preconditioner
-(optionally parametrized from the measured spectrum of ``P⁻¹K``), run
+(optionally parametrized on the spectral interval of ``P⁻¹K``), run
 Algorithm 1, and hand back the solution in natural ordering with full
 instrumentation.  This is the API the examples and the Table-2/Table-3
 benchmarks drive.
@@ -21,7 +21,7 @@ from repro.core.polynomial import (
     minmax_coefficients,
     neumann_coefficients,
 )
-from repro.core.spectral import spectrum_interval
+from repro.core.spectral import smallest_eigenvalue
 from repro.core.splittings import SSORSplitting
 from repro.multicolor.blocked import BlockedMatrix
 from repro.multicolor.ordering import MulticolorOrdering
@@ -76,8 +76,17 @@ def ssor_interval(
     blocked: BlockedMatrix, safety: float = 0.0
 ) -> tuple[float, float]:
     """``[λ₁, λ_n]`` of ``P⁻¹K`` for the ω = 1 SSOR splitting on the
-    blocked system."""
-    return spectrum_interval(SSORSplitting(blocked.permuted), safety=safety)
+    blocked system.
+
+    ``λ_n = 1.0`` exactly (``P ⪰ K``, with equality on the first color
+    block; proof in :mod:`repro.core.spectral`), so only ``λ₁`` is
+    computed.  ``safety`` widens that estimated lower end by a fraction
+    of the span; the exact upper end is never widened.
+    """
+    lo = smallest_eigenvalue(SSORSplitting(blocked.permuted))
+    if safety:
+        lo = max(lo - safety * (1.0 - lo), 0.0)
+    return lo, 1.0
 
 
 def mstep_coefficients(
@@ -147,7 +156,7 @@ def solve_mstep_ssor(
     """Solve a model problem with the m-step multicolor SSOR PCG method.
 
     ``m = 0`` runs unpreconditioned CG (the paper's first table row).  For
-    parametrized runs the eigenvalue interval is measured from the operator
+    parametrized runs the eigenvalue interval is computed from the operator
     unless supplied (benchmarks compute it once per mesh and pass it in).
 
     The preconditioner is the Conrad–Wallach merged multicolor sweep of

@@ -17,9 +17,9 @@ from the discretization, never touching ``scipy.sparse``:
   summation — so plate coefficients are **bitwise equal** to the
   assembled matrix entries too;
 * :func:`stencil_operator` dispatches on the problem type; and
-* :func:`stencil_interval` bounds the SSOR-preconditioned spectrum by
-  deterministic power iteration when no assembled matrix exists to feed
-  the exact spectral routine.
+* :func:`stencil_interval` bounds the SSOR-preconditioned spectrum when
+  no assembled matrix exists to factor: the exact upper end 1, and
+  ``λ₁`` by deterministic power iteration.
 """
 
 from __future__ import annotations
@@ -248,35 +248,29 @@ def stencil_interval(
 ) -> tuple[float, float]:
     """``[λ₁, λ_n]`` bounds for ``P⁻¹K`` under the ω=1 SSOR splitting.
 
-    The assembled path measures the spectrum exactly
-    (:func:`repro.driver.ssor_interval`); without a matrix this runs
-    deterministic power iteration on ``P⁻¹K`` (largest) and on the
-    shifted complement ``c·I − P⁻¹K`` (smallest), widening both ends by
-    ``safety``.  Least-squares coefficient fitting only needs an
-    enclosing interval, so modest accuracy suffices.
+    The upper end is exactly 1 for this splitting (``P ⪰ K`` with
+    equality on the first color block; see :mod:`repro.core.spectral`),
+    the same value :func:`repro.driver.ssor_interval` returns on the
+    assembled path.  Without a matrix to factor, ``λ₁`` comes from
+    deterministic power iteration on the complement ``I − P⁻¹K``, whose
+    dominant eigenvalue is ``1 − λ₁``, and is lowered by ``safety``.
+    That lower end is an estimate, not a certified bound: on larger grids
+    ``iterations`` power steps stop well above the true ``λ₁``.
     """
     ssor = StencilSSOR(operator, np.ones(1))
-    n = operator.n
-    kv = np.empty(n)
+    kv = np.empty(operator.n)
 
-    def preconditioned(v: np.ndarray) -> np.ndarray:
-        # Borrowed buffer out (the sweep's pool), per the power-loop
-        # contract above: no per-iteration copies.
+    def complement(v: np.ndarray) -> np.ndarray:
+        # Borrowed buffer out, per the power-loop contract above: the
+        # sweep's result is pooled and kv is free again once it is formed.
         operator.matvec_into(v, kv)
-        return ssor.apply(kv)
-
-    def shifted_complement(v: np.ndarray) -> np.ndarray:
-        p = preconditioned(v)  # p is pooled; kv is free again after this
-        np.multiply(v, hi, out=kv)
-        np.subtract(kv, p, out=kv)
+        p = ssor.apply(kv)
+        np.subtract(v, p, out=kv)
         return kv
 
-    hi = _rayleigh_power(preconditioned, np.ones(n), iterations)
-    require(hi > 0, "power iteration found a non-positive dominant eigenvalue")
-    hi *= 1.0 + safety
     shifted = _rayleigh_power(
-        shifted_complement, np.cos(np.arange(n, dtype=float)), iterations
+        complement, np.cos(np.arange(operator.n, dtype=float)), iterations
     )
-    lo = (hi - shifted) * (1.0 - safety)
+    lo = (1.0 - shifted) * (1.0 - safety)
     lo = max(lo, np.finfo(float).tiny)
-    return (float(lo), float(hi))
+    return (float(lo), 1.0)

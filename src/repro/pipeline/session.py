@@ -344,13 +344,15 @@ class SolverSession:
 
     @property
     def interval(self) -> tuple[float, float]:
-        """``[λ₁, λ_n]`` of ``P⁻¹K`` — measured once, reused everywhere.
+        """``[λ₁, λ_n]`` of ``P⁻¹K`` — computed once, reused everywhere.
 
-        An assembled problem measures the exact spectrum on the blocked
-        system even under the stencil backend (the operators are the same
-        matrix, so coefficients match the CSR path exactly); a matrix-free
-        problem (``k=None``) bounds it by deterministic power iteration
-        on the stencil operator (:func:`repro.fem.stencil_interval`).
+        ``λ_n = 1`` exactly for the ω = 1 SSOR splitting, so only ``λ₁``
+        is estimated.  An assembled problem computes it on the blocked
+        system (:func:`repro.driver.ssor_interval`) even under the stencil
+        backend (the operators are the same matrix, so coefficients match
+        the CSR path exactly); a matrix-free problem (``k=None``) bounds it
+        by deterministic power iteration on the stencil operator
+        (:func:`repro.fem.stencil_interval`).
         """
         if self._interval is None:
             if getattr(self.problem, "k", None) is None:

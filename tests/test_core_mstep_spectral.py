@@ -18,9 +18,10 @@ from repro.core import (
     preconditioned_spectrum,
     spectrum_interval,
 )
-from repro.driver import build_blocked_system
+from repro.driver import build_blocked_system, mstep_coefficients, ssor_interval
 from repro.fem import plate_problem
 from repro.multicolor import MStepSSOR
+from repro.pipeline import available_scenarios, build_scenario
 from repro.util import is_symmetric
 
 
@@ -152,6 +153,90 @@ class TestSpectrum:
     def test_nonsymmetric_splitting_rejected(self, plate_k):
         with pytest.raises(ValueError):
             spectrum_interval(SORSplitting(plate_k))
+
+
+class TestSSORInterval:
+    """ω = 1 SSOR: ``λ_n = 1`` exactly, only ``λ₁`` is computed."""
+
+    SIZE = 8  # every scenario's size parameter; n ≤ 112
+
+    @pytest.fixture(
+        scope="class", params=available_scenarios(), ids=lambda spec: spec.name
+    )
+    def scenario_blocked(self, request):
+        spec = request.param
+        return build_blocked_system(
+            build_scenario(spec.name, **{spec.size_param: self.SIZE})
+        )
+
+    @pytest.mark.parametrize("dense_limit", [None, 0], ids=["dense", "lanczos"])
+    def test_encloses_registry_spectrum(
+        self, scenario_blocked, dense_limit, monkeypatch
+    ):
+        import repro.core.spectral as spectral
+
+        eigs = full_splitting_spectrum(SSORSplitting(scenario_blocked.permuted))
+        assert abs(eigs.max() - 1.0) <= 1e-13
+        if dense_limit is not None:
+            monkeypatch.setattr(spectral, "_DENSE_LIMIT", dense_limit)
+        lo, hi = ssor_interval(scenario_blocked)
+        assert hi == 1.0
+        assert lo == pytest.approx(float(eigs.min()), rel=1e-6)
+
+    @pytest.mark.parametrize("dense_limit", [None, 0], ids=["dense", "lanczos"])
+    def test_never_applies_s(self, plate, dense_limit, monkeypatch):
+        import repro.core.spectral as spectral
+
+        built = []
+        original = spectral._symmetric_operator
+
+        def counting(splitting):
+            built.append(splitting)
+            return original(splitting)
+
+        monkeypatch.setattr(spectral, "_symmetric_operator", counting)
+        if dense_limit is not None:
+            monkeypatch.setattr(spectral, "_DENSE_LIMIT", dense_limit)
+        blocked = build_blocked_system(plate)
+        ssor_interval(blocked)
+        assert built == []
+        # The counter is live: the generic two-ended interval does build S
+        # on the Lanczos path.
+        spectrum_interval(SSORSplitting(blocked.permuted))
+        assert len(built) == (1 if dense_limit == 0 else 0)
+
+    def test_reproducible_after_unrelated_eigsh(self, monkeypatch):
+        """ARPACK's internal random start carries state between calls; a
+        fixed start vector makes the interval — and with it α and every
+        iterate — independent of which eigen-solves ran earlier."""
+        import scipy.sparse.linalg as spla
+
+        import repro.core.spectral as spectral
+
+        monkeypatch.setattr(spectral, "_DENSE_LIMIT", 0)
+        blocked = build_blocked_system(plate_problem(8))
+        spla.eigsh(sp.diags(np.arange(1.0, 51.0)), k=1, which="LA")
+        first = ssor_interval(blocked)
+        second = ssor_interval(blocked)
+        assert first == second
+        assert np.array_equal(
+            mstep_coefficients(4, True, first), mstep_coefficients(4, True, second)
+        )
+        splitting = JacobiSplitting(blocked.permuted)
+        assert spectrum_interval(splitting) == spectrum_interval(splitting)
+
+    def test_safety_widens_only_the_lower_end(self, plate):
+        blocked = build_blocked_system(plate)
+        lo, hi = ssor_interval(blocked)
+        lo_s, hi_s = ssor_interval(blocked, safety=0.01)
+        assert hi_s == hi == 1.0
+        assert lo_s == pytest.approx(lo - 0.01 * (1.0 - lo))
+
+    def test_general_splittings_keep_a_computed_upper_end(self, plate_k):
+        eigs = full_splitting_spectrum(SSORSplitting(plate_k, omega=1.5))
+        assert eigs.max() < 1.0 - 1e-6
+        _, hi = spectrum_interval(SSORSplitting(plate_k, omega=1.5))
+        assert hi == pytest.approx(float(eigs.max()), rel=1e-8)
 
 
 class TestAdams1982Bound:

@@ -164,7 +164,7 @@ def test_sweep_matches_mstep_ssor(name, kw, m):
     """
     problem = build_scenario(name, **kw)
     blocked = build_blocked_system(problem)
-    coeffs = mstep_coefficients(m, False, ssor_interval(blocked))
+    coeffs = mstep_coefficients(m, False, None)
     csr_sweep = MStepSSOR(blocked, coeffs)
     st_sweep = StencilSSOR(stencil_operator(problem), coeffs)
     perm = blocked.ordering.perm
@@ -197,7 +197,7 @@ def test_fused_sweep_native_vs_fallback_bitwise(name, kw, m, monkeypatch):
     import repro.kernels.stencil as stencil_mod
 
     problem = build_scenario(name, **kw)
-    coeffs = mstep_coefficients(m, False, ssor_interval(build_blocked_system(problem)))
+    coeffs = mstep_coefficients(m, False, None)
     sweep_native = StencilSSOR(stencil_operator(problem), coeffs)
     if sweep_native.operator.sweep_plan is None:
         pytest.skip("no compiled kernel in this environment")
@@ -453,7 +453,7 @@ def test_stencil_interval_encloses_exact_spectrum():
     lo_ex, hi_ex = ssor_interval(build_blocked_system(problem))
     lo, hi = stencil_interval(stencil_operator(problem))
     assert lo <= lo_ex * 1.05
-    assert hi >= hi_ex / 1.05
+    assert hi == hi_ex == 1.0
 
 
 # --------------------------------------------------------------------------
@@ -512,14 +512,12 @@ def test_sharded_stencil_pickled_fallback_bitwise():
     """With shared memory off the description rides the spec pickle —
     same bits either way."""
     from repro.core.pcg import block_pcg
-    from repro.driver import mstep_coefficients, ssor_interval
+    from repro.driver import mstep_coefficients
     from repro.parallel import ApplicatorRecipe, sharded_block_pcg
 
     problem = build_scenario("poisson", n_grid=12)
     op = stencil_operator(problem)
-    coeffs = mstep_coefficients(
-        2, False, ssor_interval(build_blocked_system(problem))
-    )
+    coeffs = mstep_coefficients(2, False, None)
     recipe = ApplicatorRecipe(kind="stencil", coefficients=coeffs)
     F = np.random.default_rng(23).normal(size=(op.n, 4))
     serial = block_pcg(
