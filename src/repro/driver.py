@@ -22,9 +22,9 @@ from repro.core.polynomial import (
     neumann_coefficients,
 )
 from repro.core.spectral import smallest_eigenvalue
-from repro.core.splittings import SSORSplitting
 from repro.multicolor.blocked import BlockedMatrix
 from repro.multicolor.ordering import MulticolorOrdering
+from repro.multicolor.sor import MStepSSOR
 from repro.util import require
 
 __all__ = [
@@ -72,21 +72,15 @@ def build_blocked_system(problem) -> BlockedMatrix:
     return BlockedMatrix.from_matrix(problem.k, ordering)
 
 
-def ssor_interval(
-    blocked: BlockedMatrix, safety: float = 0.0
-) -> tuple[float, float]:
+def ssor_interval(blocked: BlockedMatrix) -> tuple[float, float]:
     """``[λ₁, λ_n]`` of ``P⁻¹K`` for the ω = 1 SSOR splitting on the
     blocked system.
 
     ``λ_n = 1.0`` exactly (``P ⪰ K``, with equality on the first color
     block; proof in :mod:`repro.core.spectral`), so only ``λ₁`` is
-    computed.  ``safety`` widens that estimated lower end by a fraction
-    of the span; the exact upper end is never widened.
+    computed: CG–Lanczos on one m = 1 :class:`MStepSSOR` run.
     """
-    lo = smallest_eigenvalue(SSORSplitting(blocked.permuted))
-    if safety:
-        lo = max(lo - safety * (1.0 - lo), 0.0)
-    return lo, 1.0
+    return smallest_eigenvalue(blocked.permuted, MStepSSOR(blocked, np.ones(1))), 1.0
 
 
 def mstep_coefficients(

@@ -17,15 +17,16 @@ from the discretization, never touching ``scipy.sparse``:
   summation — so plate coefficients are **bitwise equal** to the
   assembled matrix entries too;
 * :func:`stencil_operator` dispatches on the problem type; and
-* :func:`stencil_interval` bounds the SSOR-preconditioned spectrum when
-  no assembled matrix exists to factor: the exact upper end 1, and
-  ``λ₁`` by deterministic power iteration.
+* :func:`stencil_interval` gives the SSOR-preconditioned spectrum's
+  interval without an assembled matrix: the exact upper end 1, and
+  ``λ₁`` by CG–Lanczos on the stencil operator's own m = 1 solve.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.spectral import smallest_eigenvalue
 from repro.fem.mesh import PlateMesh
 from repro.fem.model_problems import (
     AnisotropicProblem,
@@ -222,55 +223,14 @@ def stencil_operator(problem) -> StencilOperator:
     )
 
 
-def _rayleigh_power(apply_fn, v0: np.ndarray, iterations: int) -> float:
-    """Dominant-eigenvalue estimate by power iteration (deterministic).
-
-    ``apply_fn`` may return a borrowed buffer it will overwrite on the
-    next call — the loop consumes ``w`` before re-applying, renormalizing
-    into ``v`` in place, so the whole iteration allocates nothing.  At
-    large ``n`` this runs exactly at the pipeline's peak-memory point,
-    the metric the matrix-free path exists to win.
-    """
-    v = v0 / float(np.linalg.norm(v0))
-    lam = 0.0
-    for _ in range(iterations):
-        w = apply_fn(v)
-        lam = float(v @ w)
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            break
-        np.divide(w, norm, out=v)
-    return lam
-
-
-def stencil_interval(
-    operator: StencilOperator, iterations: int = 80, safety: float = 0.05
-) -> tuple[float, float]:
-    """``[λ₁, λ_n]`` bounds for ``P⁻¹K`` under the ω=1 SSOR splitting.
+def stencil_interval(operator: StencilOperator) -> tuple[float, float]:
+    """``[λ₁, λ_n]`` of ``P⁻¹K`` under the ω=1 SSOR splitting.
 
     The upper end is exactly 1 for this splitting (``P ⪰ K`` with
     equality on the first color block; see :mod:`repro.core.spectral`),
-    the same value :func:`repro.driver.ssor_interval` returns on the
-    assembled path.  Without a matrix to factor, ``λ₁`` comes from
-    deterministic power iteration on the complement ``I − P⁻¹K``, whose
-    dominant eigenvalue is ``1 − λ₁``, and is lowered by ``safety``.
-    That lower end is an estimate, not a certified bound: on larger grids
-    ``iterations`` power steps stop well above the true ``λ₁``.
+    and ``λ₁`` comes from the same CG–Lanczos helper
+    :func:`repro.driver.ssor_interval` uses, run on one m = 1
+    :class:`~repro.kernels.stencil.StencilSSOR` solve — so the
+    matrix-free interval matches the assembled one without a matrix.
     """
-    ssor = StencilSSOR(operator, np.ones(1))
-    kv = np.empty(operator.n)
-
-    def complement(v: np.ndarray) -> np.ndarray:
-        # Borrowed buffer out, per the power-loop contract above: the
-        # sweep's result is pooled and kv is free again once it is formed.
-        operator.matvec_into(v, kv)
-        p = ssor.apply(kv)
-        np.subtract(v, p, out=kv)
-        return kv
-
-    shifted = _rayleigh_power(
-        complement, np.cos(np.arange(operator.n, dtype=float)), iterations
-    )
-    lo = (1.0 - shifted) * (1.0 - safety)
-    lo = max(lo, np.finfo(float).tiny)
-    return (float(lo), 1.0)
+    return smallest_eigenvalue(operator, StencilSSOR(operator, np.ones(1))), 1.0

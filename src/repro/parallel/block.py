@@ -233,6 +233,8 @@ def sharded_block_pcg(
     converged = np.zeros(ncols, dtype=bool)
     delta_histories: list[list[float]] = [[] for _ in range(ncols)]
     residual_histories: list[list[float]] = [[] for _ in range(ncols)]
+    alpha_histories: list[list[float]] = [[] for _ in range(ncols)]
+    beta_histories: list[list[float]] = [[] for _ in range(ncols)]
     counters = [None] * ncols
     stop_rule = shards[0].stop_rule if shards else ""
     for shard in shards:
@@ -243,6 +245,8 @@ def sharded_block_pcg(
             converged[j] = shard.converged[local]
             delta_histories[j] = shard.delta_histories[local]
             residual_histories[j] = shard.residual_histories[local]
+            alpha_histories[j] = shard.alpha_histories[local]
+            beta_histories[j] = shard.beta_histories[local]
             counters[j] = shard.counters[local]
     return BlockPCGResult(
         u=u,
@@ -252,4 +256,6 @@ def sharded_block_pcg(
         residual_histories=residual_histories,
         counters=counters,
         stop_rule=stop_rule,
+        alpha_histories=alpha_histories,
+        beta_histories=beta_histories,
     )

@@ -301,6 +301,8 @@ class ShardResult:
     residual_histories: list[list[float]]
     counters: list[OperationCounter] = field(default_factory=list)
     stop_rule: str = ""
+    alpha_histories: list[list[float]] = field(default_factory=list)
+    beta_histories: list[list[float]] = field(default_factory=list)
 
 
 # Per-worker-process compiled state: token → (csr matrix, applicator),
@@ -401,6 +403,8 @@ def run_shard(spec: ShardSpec) -> ShardResult:
         residual_histories=result.residual_histories,
         counters=result.counters,
         stop_rule=result.stop_rule,
+        alpha_histories=result.alpha_histories,
+        beta_histories=result.beta_histories,
     )
 
 

@@ -51,6 +51,9 @@ def _assert_column_matches(col, solo):
     assert np.array_equal(col.u, solo.u)
     assert col.delta_history == solo.delta_history
     assert col.residual_history == solo.residual_history
+    assert (col.alpha_history, col.beta_history) == (
+        solo.alpha_history, solo.beta_history
+    )
     assert col.counter.as_dict() == solo.counter.as_dict()
 
 

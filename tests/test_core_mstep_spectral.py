@@ -123,27 +123,39 @@ class TestSpectrum:
         assert lo == pytest.approx(float(eigs.min()), rel=1e-8)
         assert hi == pytest.approx(float(eigs.max()), rel=1e-8)
 
-    def test_iterative_path_agrees_with_dense(self, plate_k):
-        # Force the Lanczos path by monkeypatching the dense limit.
+    def test_iterative_path_agrees_with_dense(self, plate_k, monkeypatch):
+        # Force the Lanczos upper end by monkeypatching the dense limit;
+        # the lower end has one path (CG–Lanczos) at every n.
         import repro.core.spectral as spectral
 
         splitting = SSORSplitting(plate_k)
         dense_lo, dense_hi = spectrum_interval(splitting)
-        old = spectral._DENSE_LIMIT
-        spectral._DENSE_LIMIT = 1
-        try:
-            lo, hi = spectrum_interval(splitting, tol=1e-10)
-        finally:
-            spectral._DENSE_LIMIT = old
-        assert lo == pytest.approx(dense_lo, rel=1e-5)
+        monkeypatch.setattr(spectral, "_DENSE_LIMIT", 1)
+        lo, hi = spectrum_interval(splitting)
+        assert lo == dense_lo
         assert hi == pytest.approx(dense_hi, rel=1e-5)
 
-    def test_safety_widens_interval(self, plate_k):
-        splitting = SSORSplitting(plate_k)
-        lo, hi = spectrum_interval(splitting)
-        lo_s, hi_s = spectrum_interval(splitting, safety=0.05)
-        assert lo_s <= lo and hi_s >= hi
-        assert lo_s >= 0.0
+    @pytest.mark.parametrize(
+        "make",
+        [JacobiSplitting, RichardsonSplitting, lambda k: SSORSplitting(k, omega=1.5)],
+        ids=["jacobi", "richardson", "ssor-1.5"],
+    )
+    def test_lower_end_of_general_splittings(self, plate_k, make):
+        """CG–Lanczos on each splitting's own m = 1 preconditioner."""
+        splitting = make(plate_k)
+        lo, _ = spectrum_interval(splitting)
+        assert lo == pytest.approx(float(full_splitting_spectrum(splitting)[0]), rel=1e-9)
+
+    def test_indefinite_operator_raises(self, plate_k):
+        """K − σI with σ inside K's spectrum but below every diagonal
+        entry: the SSOR ``P`` stays SPD, ``P⁻¹K`` has a negative
+        eigenvalue, and the m = 1 CG–Lanczos run breaks down on
+        ``pᵀKp ≤ 0`` — a loud error, not α fitted on a meaningless λ₁."""
+        sigma = 0.5 * float(plate_k.diagonal().min())
+        assert np.linalg.eigvalsh(plate_k.toarray())[0] < sigma
+        shifted = (plate_k - sigma * sp.identity(plate_k.shape[0])).tocsr()
+        with pytest.raises(ValueError, match="unconverged"):
+            spectrum_interval(SSORSplitting(shifted))
 
     def test_condition_number_helpers(self):
         assert condition_number(np.array([0.5, 1.0, 2.0])) == 4.0
@@ -173,6 +185,8 @@ class TestSSORInterval:
     def test_encloses_registry_spectrum(
         self, scenario_blocked, dense_limit, monkeypatch
     ):
+        """λ₁ has one path, CG–Lanczos, at every n: the dense limit that
+        still switches the two-ended interval's upper end leaves it alone."""
         import repro.core.spectral as spectral
 
         eigs = full_splitting_spectrum(SSORSplitting(scenario_blocked.permuted))
@@ -181,7 +195,7 @@ class TestSSORInterval:
             monkeypatch.setattr(spectral, "_DENSE_LIMIT", dense_limit)
         lo, hi = ssor_interval(scenario_blocked)
         assert hi == 1.0
-        assert lo == pytest.approx(float(eigs.min()), rel=1e-6)
+        assert lo == pytest.approx(float(eigs.min()), rel=1e-9)
 
     @pytest.mark.parametrize("dense_limit", [None, 0], ids=["dense", "lanczos"])
     def test_never_applies_s(self, plate, dense_limit, monkeypatch):
@@ -224,13 +238,6 @@ class TestSSORInterval:
         )
         splitting = JacobiSplitting(blocked.permuted)
         assert spectrum_interval(splitting) == spectrum_interval(splitting)
-
-    def test_safety_widens_only_the_lower_end(self, plate):
-        blocked = build_blocked_system(plate)
-        lo, hi = ssor_interval(blocked)
-        lo_s, hi_s = ssor_interval(blocked, safety=0.01)
-        assert hi_s == hi == 1.0
-        assert lo_s == pytest.approx(lo - 0.01 * (1.0 - lo))
 
     def test_general_splittings_keep_a_computed_upper_end(self, plate_k):
         eigs = full_splitting_spectrum(SSORSplitting(plate_k, omega=1.5))

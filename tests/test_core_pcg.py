@@ -106,6 +106,16 @@ class TestInstrumentation:
         assert len(result.delta_history) == result.iterations
         assert result.delta_history[-1] < 1e-8
 
+    def test_alpha_beta_histories(self):
+        """One α per completed iteration; one β per iteration that ran
+        steps 4–7, i.e. all but the stopping one under the paper's rule."""
+        prob = poisson_problem(8)
+        result = cg(prob.k, prob.f, eps=1e-8)
+        assert len(result.alpha_history) == result.iterations
+        assert len(result.beta_history) == result.iterations - 1
+        assert min(result.alpha_history) > 0.0
+        assert min(result.beta_history) > 0.0
+
     def test_residual_tracking_optional(self):
         prob = poisson_problem(8)
         untracked = cg(prob.k, prob.f, eps=1e-8)

@@ -82,6 +82,9 @@ def assert_block_results_bitwise(a, b):
     assert np.array_equal(a.converged, b.converged)
     assert a.delta_histories == b.delta_histories
     assert a.residual_histories == b.residual_histories
+    assert (a.alpha_histories, a.beta_histories) == (
+        b.alpha_histories, b.beta_histories
+    )
     assert [c.as_dict() for c in a.counters] == [c.as_dict() for c in b.counters]
     assert a.stop_rule == b.stop_rule
 
@@ -136,6 +139,9 @@ class TestShardedBlockPCG:
             assert np.array_equal(col.u, solo.u)
             assert col.iterations == solo.iterations
             assert col.delta_history == solo.delta_history
+            assert (col.alpha_history, col.beta_history) == (
+                solo.alpha_history, solo.beta_history
+            )
             assert col.counter.as_dict() == solo.counter.as_dict()
 
     def test_fortran_ordered_block(self, plate_state):

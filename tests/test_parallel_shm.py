@@ -87,6 +87,9 @@ def assert_block_results_bitwise(a, b):
     assert np.array_equal(a.converged, b.converged)
     assert a.delta_histories == b.delta_histories
     assert a.residual_histories == b.residual_histories
+    assert (a.alpha_histories, a.beta_histories) == (
+        b.alpha_histories, b.beta_histories
+    )
     assert [c.as_dict() for c in a.counters] == [c.as_dict() for c in b.counters]
     assert a.stop_rule == b.stop_rule
 

@@ -14,7 +14,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.driver import build_blocked_system, mstep_coefficients, ssor_interval
+from repro.driver import (
+    TABLE2_EPS,
+    build_blocked_system,
+    mstep_coefficients,
+    ssor_interval,
+)
 from repro.fem.matrixfree import (
     STENCIL_SCENARIOS,
     stencil_interval,
@@ -430,8 +435,8 @@ def test_session_stats_parity_csr_vs_stencil(path):
 
 def test_matrix_free_end_to_end():
     """``assemble=False`` + stencil backend: no matrix ever exists, the
-    interval comes from power iteration, and the solve still converges to
-    the assembled path's answer."""
+    interval comes from CG–Lanczos on the stencil operator, and the solve
+    still converges to the assembled path's answer."""
     problem = build_scenario("poisson", n_grid=12, assemble=False)
     assert problem.k is None
     session = SolverSession(problem, plan=SolverPlan.single(2, backend="stencil"))
@@ -454,6 +459,38 @@ def test_stencil_interval_encloses_exact_spectrum():
     lo, hi = stencil_interval(stencil_operator(problem))
     assert lo <= lo_ex * 1.05
     assert hi == hi_ex == 1.0
+
+
+@pytest.mark.parametrize(
+    "name,kw",
+    [("poisson", {"n_grid": 64}), ("plate", {"nrows": 20})],
+    ids=["poisson-g64", "plate-a20"],
+)
+def test_matrix_free_interval_matches_assembled(name, kw):
+    """One λ₁ estimator on both representations: the matrix-free
+    session's CG–Lanczos value equals the assembled twin's
+    ``ssor_interval`` (a power loop on ``I − P⁻¹K`` stopped 8–120× high)."""
+    session = SolverSession(
+        build_scenario(name, assemble=False, **kw),
+        plan=SolverPlan.single(2, True, backend="stencil"),
+    )
+    lo, hi = session.interval
+    lo_ex, hi_ex = ssor_interval(build_blocked_system(build_scenario(name, **kw)))
+    assert hi == hi_ex == 1.0
+    assert lo == pytest.approx(lo_ex, rel=1e-8)
+
+
+def test_matrix_free_table2_rows_at_a41():
+    """The matrix-free plate at a = 41 reproduces the paper's Table-2
+    8P and 10P iteration counts (28 and 23), as the assembled path does."""
+    session = SolverSession(
+        build_scenario("plate", nrows=41, assemble=False),
+        plan=SolverPlan(
+            schedule=((8, True), (10, True)), eps=TABLE2_EPS, backend="stencil"
+        ),
+    )
+    assert session.solve_cell(8, True).iterations == 28
+    assert session.solve_cell(10, True).iterations == 23
 
 
 # --------------------------------------------------------------------------
